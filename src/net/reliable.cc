@@ -13,23 +13,31 @@ void ReliableSender::Track(uint32_t opcode, const rdma::MetaBlob& meta,
     return;
   }
   const bool was_empty = unacked_.empty();
-  unacked_.push_back(Stored{opcode, meta, std::move(payload), seq});
+  unacked_.push_back(Stored{opcode, meta, std::move(payload), seq, now});
   if (was_empty) {
     head_attempts_ = 0;
-    next_retx_ = now + RetxDelay(0);
+    next_retx_ = now + RetxDelay();
   }
 }
 
 void ReliableSender::OnAck(uint32_t epoch, uint64_t seq, SimTime now) {
   if (epoch != epoch_) return;  // stale (pre-reset) acknowledgement
   bool advanced = false;
+  SimTime sent_at = 0;
+  bool ambiguous = false;
   while (!unacked_.empty() && unacked_.front().seq <= seq) {
+    sent_at = unacked_.front().sent_at;
+    ambiguous = unacked_.front().retransmitted;
     unacked_.pop_front();
     advanced = true;
   }
   if (advanced) {
+    if (!ambiguous) {
+      SampleRtt(now - sent_at);
+      backoff_ = 0;  // Karn: only a valid sample ends the backoff
+    }
     head_attempts_ = 0;
-    next_retx_ = unacked_.empty() ? 0 : now + RetxDelay(0);
+    next_retx_ = unacked_.empty() ? 0 : now + RetxDelay();
   }
 }
 
@@ -52,8 +60,10 @@ const std::deque<ReliableSender::Stored>* ReliableSender::CollectRetransmits(
     return nullptr;
   }
   ++head_attempts_;
+  ++backoff_;
   metrics_.retransmits += unacked_.size();
-  next_retx_ = now + RetxDelay(head_attempts_);
+  for (Stored& st : unacked_) st.retransmitted = true;
+  next_retx_ = now + RetxDelay();
   return &unacked_;
 }
 
@@ -64,12 +74,32 @@ void ReliableSender::Reset(SimTime now) {
   ++epoch_;
   next_seq_ = 0;
   head_attempts_ = 0;
+  backoff_ = 0;
   next_retx_ = now;
 }
 
-SimTime ReliableSender::RetxDelay(uint32_t attempts) {
-  SimTime base = opts_.initial_backoff;
-  for (uint32_t i = 0; i < attempts && base < opts_.max_backoff; ++i) base *= 2;
+void ReliableSender::SampleRtt(SimTime rtt) {
+  if (!have_rtt_) {
+    // RFC 6298 (2.2): the first measurement seeds both estimators.
+    srtt_ = rtt;
+    rttvar_ = rtt / 2;
+    have_rtt_ = true;
+    return;
+  }
+  // RFC 6298 (2.3) with alpha = 1/8, beta = 1/4; rttvar uses the old srtt.
+  const SimTime err = srtt_ > rtt ? srtt_ - rtt : rtt - srtt_;
+  rttvar_ += (err - rttvar_) / 4;
+  srtt_ += (rtt - srtt_) / 8;
+}
+
+SimTime ReliableSender::rto() const {
+  const SimTime estimate = have_rtt_ ? srtt_ + 4 * rttvar_ : 0;
+  return std::min(std::max(opts_.initial_backoff, estimate), opts_.max_backoff);
+}
+
+SimTime ReliableSender::RetxDelay() {
+  SimTime base = rto();
+  for (uint32_t i = 0; i < backoff_ && base < opts_.max_backoff; ++i) base *= 2;
   base = std::min(base, opts_.max_backoff);
   const double scale = 1.0 + opts_.jitter * (2.0 * rng_.NextDouble() - 1.0);
   return std::max<SimTime>(1, static_cast<SimTime>(static_cast<double>(base) * scale));
@@ -133,6 +163,22 @@ ReliableReceiver::Outcome ReliableReceiver::OnFrame(const FrameHeader& h,
   peer.last_nacked = UINT64_MAX;  // progress re-arms the NACK dedupe
   out.verdict = Verdict::kDeliver;
   return out;
+}
+
+bool ReliableReceiver::DropBeforeVerify(const FrameHeader& h) {
+  if (h.magic != kFrameMagic) return false;
+  auto it = peers_.find(h.sender);
+  if (it == peers_.end()) return false;
+  const PeerState& peer = it->second;
+  if (h.epoch < peer.epoch) {
+    ++metrics_.frames_stale;
+    return true;
+  }
+  if (h.epoch == peer.epoch && h.seq < peer.expected) {
+    ++metrics_.frames_duplicate;
+    return true;
+  }
+  return false;
 }
 
 bool ReliableReceiver::CumulativeAck(uint32_t sender, uint32_t* epoch,

@@ -11,6 +11,12 @@
 // retransmits from the NACKed (or timed-out) frame onward — classic
 // go-back-N, which preserves the ring's FIFO contract.
 //
+// The retransmit timeout adapts to the link (RFC 6298): the sender keeps a
+// smoothed RTT and RTT variance from cumulative ACKs, sampling only frames
+// that were never retransmitted (Karn's rule), so a receiver that spends a
+// millisecond verifying and forwarding each large payload does not look
+// like a lossy link and get its whole window re-sent.
+//
 // Epochs make restarts safe: whenever a sender resets (node restart, ring
 // re-splice, or an exhausted retransmit budget abandoning the window), it
 // bumps its epoch and restarts seq at 0. A receiver that sees a higher
@@ -126,7 +132,11 @@ struct ReliableOptions {
   /// Retransmission attempts for the window head before the sender declares
   /// the link flapped and resets (new epoch, window abandoned).
   uint32_t max_attempts = 10;
+  /// Retransmit timeout before the first RTT sample, and the floor of the
+  /// adaptive timeout (srtt + 4 * rttvar) once samples arrive.
   SimTime initial_backoff = FromMillis(2);
+  /// Cap on the timeout, which doubles per retransmit since the last valid
+  /// RTT sample.
   SimTime max_backoff = FromMillis(100);
   /// Backoff jitter fraction: each delay is scaled by 1 + jitter*U(-1,1).
   double jitter = 0.25;
@@ -134,9 +144,6 @@ struct ReliableOptions {
   /// (back-pressure of last resort; the channel's byte capacity usually
   /// throttles first).
   size_t max_unacked = 1024;
-  /// Recompute and verify payload CRCs at every hop's receiver. Costs one
-  /// pass over the payload per hop; disable for raw-throughput benches.
-  bool verify_crc = true;
 };
 
 /// \brief Counters for one node's reliability state (both directions).
@@ -183,6 +190,8 @@ class ReliableSender {
              uint64_t seq, SimTime now);
 
   /// Cumulative acknowledgement: everything <= seq (in this epoch) is done.
+  /// The highest retired frame feeds the RTT estimate unless it was ever
+  /// retransmitted (Karn's rule: its ACK is ambiguous).
   void OnAck(uint32_t epoch, uint64_t seq, SimTime now);
 
   /// The peer expected `seq`: frames < seq are implicitly ACKed, the rest
@@ -198,11 +207,14 @@ class ReliableSender {
     rdma::MetaBlob meta;
     rdma::Buffer payload;
     uint64_t seq = 0;
+    SimTime sent_at = 0;
+    bool retransmitted = false;
   };
   const std::deque<Stored>* CollectRetransmits(SimTime now);
 
   /// Bumps the epoch, restarts seq at 0, abandons the window. Used on node
-  /// restart, ring re-splice, and retransmit exhaustion.
+  /// restart, ring re-splice, and retransmit exhaustion. The RTT estimate
+  /// is kept: it describes the link, not the epoch.
   void Reset(SimTime now);
 
   uint32_t epoch() const { return epoch_; }
@@ -210,8 +222,17 @@ class ReliableSender {
   size_t window_size() const { return unacked_.size(); }
   const ReliableMetrics& metrics() const { return metrics_; }
 
+  /// Current retransmit timeout before backoff and jitter:
+  /// max(initial_backoff, srtt + 4 * rttvar), capped at max_backoff;
+  /// initial_backoff until the first RTT sample.
+  SimTime rto() const;
+  /// Smoothed RTT; 0 until the first sample.
+  SimTime srtt() const { return srtt_; }
+
  private:
-  SimTime RetxDelay(uint32_t attempts);
+  void SampleRtt(SimTime rtt);
+  /// rto() doubled backoff_ times, capped at max_backoff, then jittered.
+  SimTime RetxDelay();
 
   uint32_t self_ = core::kInvalidNode;
   uint32_t channel_ = kChData;
@@ -221,7 +242,15 @@ class ReliableSender {
   uint64_t next_seq_ = 0;
   std::deque<Stored> unacked_;
   uint32_t head_attempts_ = 0;
+  /// Timeouts since the last valid RTT sample. Unlike head_attempts_ it
+  /// survives ACK progress (Karn's algorithm): while every ACK retires only
+  /// retransmitted frames, the peer is slower than the estimate says, so
+  /// the doubled timeout stays until a fresh frame is acknowledged.
+  uint32_t backoff_ = 0;
   SimTime next_retx_ = 0;
+  bool have_rtt_ = false;
+  SimTime srtt_ = 0;
+  SimTime rttvar_ = 0;
   ReliableMetrics metrics_;
 };
 
@@ -248,6 +277,15 @@ class ReliableReceiver {
   /// Classifies one arriving frame. `crc_ok` is the caller's verification
   /// result (the receiver does not see payload bytes).
   Outcome OnFrame(const FrameHeader& h, bool crc_ok);
+
+  /// Pre-check before the payload CRC: true (and counted) when the header
+  /// alone shows the frame can only be dropped — a seq below expected in
+  /// the peer's current epoch, or an older epoch. Such frames change no
+  /// state whether or not their bytes are intact, so the caller skips the
+  /// CRC pass and drops them; the drained batch's cumulative ACK still
+  /// goes out. In-order, gap and newer-epoch frames return false and must
+  /// be verified and classified by OnFrame.
+  bool DropBeforeVerify(const FrameHeader& h);
 
   /// Highest in-order seq accepted from `sender` in its current epoch, for
   /// the coalesced per-drain cumulative ACK; false when nothing to ack yet.

@@ -822,13 +822,12 @@ class RingCluster::Node final : public core::DcEnv {
   void HandleDataFrame(const rdma::Message& m) {
     if (m.meta.size() < sizeof(net::DataFrame)) return;
     const auto df = m.meta.As<net::DataFrame>();
-    if (!ValidFrame(df.frame, &data_rx_)) return;
+    if (!ValidFrame(df.frame, &data_rx_) || data_rx_.DropBeforeVerify(df.frame)) return;
     const uint32_t header_crc = HeaderCrc(df.bat);
-    bool crc_ok = m.payload != nullptr;
-    if (crc_ok && cluster_->options_.resilience.link.verify_crc) {
-      crc_ok = (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-                net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
-    }
+    const bool crc_ok =
+        m.payload != nullptr &&
+        (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
+         net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
     const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
     if (outcome.send_nack) {
       SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
@@ -909,13 +908,12 @@ class RingCluster::Node final : public core::DcEnv {
   void HandleDeltaFrame(const rdma::Message& m) {
     if (m.meta.size() < sizeof(DeltaFrame)) return;
     const auto df = m.meta.As<DeltaFrame>();
-    if (!ValidFrame(df.frame, &data_rx_)) return;
+    if (!ValidFrame(df.frame, &data_rx_) || data_rx_.DropBeforeVerify(df.frame)) return;
     const uint32_t header_crc = DeltaHeaderCrc(df);
-    bool crc_ok = m.payload != nullptr;
-    if (crc_ok && cluster_->options_.resilience.link.verify_crc) {
-      crc_ok = (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-                net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
-    }
+    const bool crc_ok =
+        m.payload != nullptr &&
+        (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
+         net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
     const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
     if (outcome.send_nack) {
       SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
@@ -931,7 +929,7 @@ class RingCluster::Node final : public core::DcEnv {
     auto decoded = write::DeserializeDelta(*m.payload);
     if (!decoded.ok()) {
       // Hop CRC passed but the delta encoding itself is bad (corrupted at
-      // the source or a disabled-CRC run): count it, never apply garbage.
+      // the source): count it, never apply garbage.
       ++hop_.decode_failures;
       log.NoteDeltaDecodeFailure();
       return;
@@ -1064,13 +1062,6 @@ class RingCluster::Node final : public core::DcEnv {
         did_work = true;
       }
 
-      // Control first: ACKs shrink retransmit windows before new sends.
-      drain_.clear();
-      if (ctrl_in_->TryReceiveAll(&drain_) > 0) {
-        for (const rdma::Message& m : drain_) HandleCtrl(m);
-        did_work = true;
-      }
-
       // Drain whole backlogs in one lock acquisition per channel: at high
       // message rates a rotation delivers bursts, and per-message locking
       // was the dominant hop cost.
@@ -1091,6 +1082,15 @@ class RingCluster::Node final : public core::DcEnv {
         }
         AckDrainedBatch<net::DataFrame>(drain_, net::kChData, data_rx_);
         drain_.clear();  // release payload references promptly
+        did_work = true;
+      }
+
+      // Control right before the pump: ACKs that arrived while this loop
+      // drained its own data must retire frames before their timers are
+      // judged, or a merely slow peer gets its whole window re-sent.
+      drain_.clear();
+      if (ctrl_in_->TryReceiveAll(&drain_) > 0) {
+        for (const rdma::Message& m : drain_) HandleCtrl(m);
         did_work = true;
       }
 

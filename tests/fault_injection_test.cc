@@ -3,7 +3,9 @@
 //     firing budgets, link matching.
 //   - rdma::Channel under injected faults: drop, duplicate, delay, corrupt.
 //   - net::ReliableSender / ReliableReceiver: sequencing, cumulative ACK,
-//     NACK-triggered go-back-N retransmission, backoff, epoch resets.
+//     NACK-triggered go-back-N retransmission, backoff, epoch resets, the
+//     RTT-adaptive retransmit timeout (Karn's rule), and the receiver's
+//     duplicate/stale drop before payload verification.
 //   - bat decode fuzz: every single-byte flip and every truncation of a
 //     serialized BAT frame must surface Status::Corruption — never crash.
 #include <gtest/gtest.h>
@@ -326,6 +328,114 @@ TEST(ReliableSenderTest, WindowOverflowResetsInsteadOfGrowingForever) {
   EXPECT_LE(s.window_size(), 8u);
 }
 
+net::ReliableOptions AdaptiveLink() {
+  net::ReliableOptions o;
+  o.initial_backoff = FromMillis(1);
+  o.max_backoff = FromMillis(100);
+  o.jitter = 0.0;
+  return o;
+}
+
+/// Sends one frame at `sent` and acknowledges it at `acked`: one RTT sample.
+void SendAndAck(net::ReliableSender* s, SimTime sent, SimTime acked) {
+  const auto h = s->NextHeader(0);
+  s->Track(1, rdma::MetaBlob("m"), nullptr, h.seq, sent);
+  s->OnAck(s->epoch(), h.seq, acked);
+}
+
+TEST(ReliableSenderTest, SlowAcksRaiseTheTimeoutAboveTheInitialBackoff) {
+  net::ReliableSender s;
+  s.Init(0, net::kChData, AdaptiveLink(), 1);
+  EXPECT_EQ(s.rto(), FromMillis(1));  // no sample yet: initial_backoff
+  // A peer that takes 10 ms to verify, forward and ACK each frame.
+  SimTime now = 0;
+  for (int i = 0; i < 4; ++i) {
+    SendAndAck(&s, now, now + FromMillis(10));
+    now += FromMillis(20);
+  }
+  EXPECT_GE(s.srtt(), FromMillis(9));
+  EXPECT_LE(s.srtt(), FromMillis(11));
+  EXPECT_GT(s.rto(), FromMillis(10));
+  // A timer at the old fixed backoff no longer fires on a merely slow ACK...
+  const auto h = s.NextHeader(0);
+  s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, now);
+  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(1)), nullptr);
+  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(9)), nullptr);
+  // ...but a frame that is really late still goes out again.
+  EXPECT_NE(s.CollectRetransmits(now + s.rto()), nullptr);
+  EXPECT_EQ(s.metrics().retransmits, 1u);
+}
+
+TEST(ReliableSenderTest, AckOfARetransmittedFrameLeavesTheEstimate) {
+  net::ReliableSender s;
+  s.Init(0, net::kChData, AdaptiveLink(), 1);
+  SendAndAck(&s, 0, FromMillis(2));
+  const SimTime srtt = s.srtt();
+  const SimTime rto = s.rto();
+  // Karn's rule: once re-sent, an ACK cannot tell which copy it answers,
+  // so a (very late) ACK of it must not feed the estimator.
+  const auto h = s.NextHeader(0);
+  s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, FromMillis(10));
+  ASSERT_NE(s.CollectRetransmits(FromMillis(50)), nullptr);
+  s.OnAck(s.epoch(), h.seq, FromMillis(90));
+  EXPECT_EQ(s.window_size(), 0u);
+  EXPECT_EQ(s.srtt(), srtt);
+  EXPECT_EQ(s.rto(), rto);
+  // The backed-off timeout is kept for the next frame: only a valid sample
+  // shows the peer is back within the estimate.
+  const auto h2 = s.NextHeader(0);
+  s.Track(1, rdma::MetaBlob("m"), nullptr, h2.seq, FromMillis(100));
+  EXPECT_EQ(s.CollectRetransmits(FromMillis(100) + rto + 1), nullptr);
+  // A frame sent after the retransmission is unambiguous again, and its
+  // sample ends the backoff.
+  s.OnAck(s.epoch(), h2.seq, FromMillis(108));
+  EXPECT_NE(s.srtt(), srtt);
+  const auto h3 = s.NextHeader(0);
+  s.Track(1, rdma::MetaBlob("m"), nullptr, h3.seq, FromMillis(200));
+  EXPECT_EQ(s.CollectRetransmits(FromMillis(200) + s.rto() - 1), nullptr);
+  EXPECT_NE(s.CollectRetransmits(FromMillis(200) + s.rto()), nullptr);
+}
+
+TEST(ReliableSenderTest, AckRetiringARetransmittedHeadSamplesOnlyTheNewestFrame) {
+  net::ReliableSender s;
+  s.Init(0, net::kChData, AdaptiveLink(), 1);
+  const auto h0 = s.NextHeader(0);
+  s.Track(1, rdma::MetaBlob("m"), nullptr, h0.seq, 0);
+  ASSERT_NE(s.CollectRetransmits(FromMillis(5)), nullptr);  // h0 re-sent
+  const auto h1 = s.NextHeader(0);
+  s.Track(1, rdma::MetaBlob("m"), nullptr, h1.seq, FromMillis(6));
+  // One cumulative ACK retires both; the sample is the fresh h1's 3 ms.
+  s.OnAck(s.epoch(), h1.seq, FromMillis(9));
+  EXPECT_EQ(s.srtt(), FromMillis(3));
+}
+
+TEST(ReliableSenderTest, TimeoutStaysWithinTheBackoffBounds) {
+  const net::ReliableOptions o = AdaptiveLink();
+  net::ReliableSender fast;
+  fast.Init(0, net::kChData, o, 1);
+  for (int i = 0; i < 8; ++i) {
+    SendAndAck(&fast, FromMicros(100 * i), FromMicros(100 * i + 5));
+  }
+  EXPECT_EQ(fast.rto(), o.initial_backoff);  // floor: tiny RTTs never undercut it
+
+  net::ReliableSender slow;
+  slow.Init(0, net::kChData, o, 1);
+  SimTime now = 0;
+  for (int i = 0; i < 8; ++i) {
+    SendAndAck(&slow, now, now + FromSeconds(1));
+    now += FromSeconds(2);
+  }
+  EXPECT_EQ(slow.rto(), o.max_backoff);  // cap: the estimate is clamped
+  // Per-attempt doubling stays capped too.
+  const auto h = slow.NextHeader(0);
+  slow.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, now);
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_EQ(slow.CollectRetransmits(now + o.max_backoff - 1), nullptr);
+    now += o.max_backoff;
+    ASSERT_NE(slow.CollectRetransmits(now), nullptr);
+  }
+}
+
 net::FrameHeader Frame(uint32_t sender, uint32_t epoch, uint64_t seq) {
   net::FrameHeader h;
   h.sender = sender;
@@ -424,6 +534,42 @@ TEST(ReliableReceiverTest, CorruptFrameCannotSteerTheEpoch) {
   ASSERT_TRUE(r.CumulativeAck(1, &epoch, &seq));
   EXPECT_EQ(epoch, 0u);
   EXPECT_EQ(seq, 1u);
+}
+
+TEST(ReliableReceiverTest, DuplicatesAndStaleFramesDropBeforeVerification) {
+  net::ReliableReceiver r;
+  // Nothing is known about a peer before its first verified frame.
+  EXPECT_FALSE(r.DropBeforeVerify(Frame(1, 1, 0)));
+  ASSERT_EQ(r.OnFrame(Frame(1, 1, 0), true).verdict,
+            net::ReliableReceiver::Verdict::kDeliver);
+  ASSERT_EQ(r.OnFrame(Frame(1, 1, 1), true).verdict,
+            net::ReliableReceiver::Verdict::kDeliver);
+  // Already-delivered seqs and superseded epochs are decided by the header.
+  EXPECT_TRUE(r.DropBeforeVerify(Frame(1, 1, 0)));
+  EXPECT_TRUE(r.DropBeforeVerify(Frame(1, 1, 1)));
+  EXPECT_TRUE(r.DropBeforeVerify(Frame(1, 0, 7)));
+  EXPECT_EQ(r.metrics().frames_duplicate, 2u);
+  EXPECT_EQ(r.metrics().frames_stale, 1u);
+  // In-order, gap and newer-epoch frames still need the full check.
+  EXPECT_FALSE(r.DropBeforeVerify(Frame(1, 1, 2)));
+  EXPECT_FALSE(r.DropBeforeVerify(Frame(1, 1, 5)));
+  EXPECT_FALSE(r.DropBeforeVerify(Frame(1, 2, 0)));
+  EXPECT_FALSE(r.DropBeforeVerify(Frame(2, 0, 0)));  // unknown peer
+  // Dropped frames delivered nothing and moved nothing: the cumulative ACK
+  // still names seq 1, and a corrupt in-order frame still NACKs it.
+  uint32_t epoch = 0;
+  uint64_t seq = 0;
+  ASSERT_TRUE(r.CumulativeAck(1, &epoch, &seq));
+  EXPECT_EQ(epoch, 1u);
+  EXPECT_EQ(seq, 1u);
+  const auto out = r.OnFrame(Frame(1, 1, 2), /*crc_ok=*/false);
+  EXPECT_EQ(out.verdict, net::ReliableReceiver::Verdict::kCorrupt);
+  EXPECT_TRUE(out.send_nack);
+  EXPECT_EQ(out.nack_seq, 2u);
+  EXPECT_EQ(out.nack_epoch, 1u);
+  EXPECT_EQ(r.metrics().frames_corrupted, 1u);
+  EXPECT_EQ(r.metrics().frames_duplicate, 2u);
+  EXPECT_EQ(r.metrics().frames_stale, 1u);
 }
 
 TEST(ReliableEnvelopeTest, AnyEnvelopeBitFlipFailsVerification) {

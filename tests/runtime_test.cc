@@ -8,12 +8,17 @@
 // session_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <thread>
 
 #include "bat/operators.h"
 #include "exec/executor.h"
 #include "runtime/ring_cluster.h"
+#include "runtime/session.h"
+#include "workload/tpch_data.h"
 
 namespace dcy::runtime {
 namespace {
@@ -216,6 +221,73 @@ TEST_F(RuntimeRing, RepeatedQueriesReuseTheHotSet) {
   const auto later = cluster->NodeMetrics(1);
   // The fragment stays hot between queries: few (if any) additional loads.
   EXPECT_LE(later.bats_loaded - first.bats_loaded, 3u);
+}
+
+bool SameValue(const bat::Value& got, const bat::Value& want) {
+  if (want.type == bat::ValType::kStr) {
+    return got.type == bat::ValType::kStr && got.s == want.s;
+  }
+  if (want.type == bat::ValType::kDbl) {
+    const double g = got.AsDouble(), w = want.AsDouble();
+    return std::fabs(g - w) <= 1e-6 * std::max({1.0, std::fabs(g), std::fabs(w)});
+  }
+  return got.AsInt64() == want.AsInt64();
+}
+
+// On a fault-free ring every frame arrives intact, so retransmits can only
+// come from a timer that fires before a slow-but-healthy peer's ACK is read.
+// Each spurious copy re-sends a whole window and costs the receiver a CRC
+// pass; the retransmit timer must adapt instead of flooding the ring. Scale
+// 0.05 makes payloads large enough (about a millisecond of CRC per hop)
+// that a fixed 2 ms timer re-sends every hop once or twice. The counters
+// are checked in optimized builds only: unoptimized and sanitizer builds
+// spend 10-20x longer per hop on the service thread, and the first queries
+// stall each owner for the best part of a second while it encodes its
+// fragments. No retransmit timer can tell that from loss, and a stall past
+// the attempt budget flaps the link. The answers are checked in every build.
+TEST(RuntimeRingTpch, FaultFreeRingBarelyRetransmits) {
+  const workload::TpchData data = workload::GenerateTpchData(0.05);
+  RingCluster::Options opts = FastOptions();
+  opts.plan_workers = 2;
+  RingCluster ring(opts);
+  core::NodeId owner = 0;
+  for (auto& [name, b] : workload::TpchBats(data)) {
+    ASSERT_TRUE(ring.LoadBat(owner, name, std::move(b)).ok());
+    owner = (owner + 1) % opts.num_nodes;
+  }
+  ring.Start();
+  auto session = ring.OpenSession(0);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (int q : workload::TpchSqlQueries()) {
+    const workload::TpchAnswer want = workload::TpchReferenceAnswer(data, q);
+    auto got = session->Execute(workload::TpchQuerySql(q));
+    ASSERT_TRUE(got.ok()) << "Q" << q << ": " << got.status().ToString();
+    const ResultSet& rs = got->result;
+    ASSERT_EQ(rs.num_columns(), want.names.size()) << "Q" << q;
+    ASSERT_EQ(rs.num_rows(), want.rows.size()) << "Q" << q;
+    for (size_t r = 0; r < want.rows.size(); ++r) {
+      for (size_t c = 0; c < want.names.size(); ++c) {
+        EXPECT_TRUE(SameValue(rs.ValueAt(r, c), want.rows[r][c]))
+            << "Q" << q << " row " << r << " column " << want.names[c] << ": got "
+            << rs.ValueAt(r, c).ToString() << ", want " << want.rows[r][c].ToString();
+      }
+    }
+  }
+  const RingCluster::ResilienceMetrics res = ring.Resilience();
+  const uint64_t hops = ring.Bandwidth().hops;
+  ring.Stop();
+  ASSERT_GT(hops, 0u);
+#ifdef NDEBUG
+  EXPECT_LE(static_cast<double>(res.retransmits), 0.25 * static_cast<double>(hops))
+      << res.retransmits << " retransmits over " << hops << " hops";
+  EXPECT_EQ(res.link_resets, 0u);
+#else
+  std::printf("unoptimized build, not checked: %llu retransmits over %llu hops, "
+              "%llu link resets\n",
+              static_cast<unsigned long long>(res.retransmits),
+              static_cast<unsigned long long>(hops),
+              static_cast<unsigned long long>(res.link_resets));
+#endif
 }
 
 }  // namespace
