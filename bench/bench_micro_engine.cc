@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   bench::Harness harness("micro_engine", argc, argv, /*default_repeats=*/5,
                          /*default_warmup=*/1);
   const int iters = static_cast<int>(flags.GetInt("iters", 20));
-  // --compression=0 pins the v1 (uncompressed) wire format; the encoded
+  // --compression=0 ships every column plain (no codecs); the encoded
   // cases then measure the plain-string/plain-int paths on the same data.
   const bool compression = flags.GetBool("compression", true);
   enc::SetWireCompression(compression);
@@ -373,12 +373,13 @@ X4 := aggr.sum(X3);
     DCY_CHECK_OK(warm.status());
     DCY_CHECK_OK(warm->Execute(plan_text).status());  // hot-set warmup
 
+    runtime::PrepareOptions uncached;
+    uncached.use_cache = false;
     harness.Run("query_reparse/" + std::to_string(ring_rows),
                 Params(ring_rows, query_iters), [&] {
                   double blocked = 0.0;
                   for (int i = 0; i < query_iters; ++i) {
-                    auto p = ring.Prepare(plan_text, /*optimize=*/true,
-                                          /*use_cache=*/false);
+                    auto p = ring.Prepare(plan_text, uncached);
                     DCY_CHECK_OK(p.status());
                     auto r = warm->Execute(*p);
                     DCY_CHECK_OK(r.status());

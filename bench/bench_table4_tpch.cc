@@ -85,10 +85,15 @@ bool Validate(int q, const runtime::ResultSet& got, const workload::TpchAnswer& 
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const Result<uint32_t> ring_size = runtime::CheckRingSize(flags.GetInt("nodes", 3));
+  if (!ring_size.ok()) {
+    std::fprintf(stderr, "--nodes: %s\n", ring_size.status().ToString().c_str());
+    return 2;
+  }
+  const uint32_t nodes = *ring_size;
   bench::Harness harness("table4_tpch", argc, argv, /*default_repeats=*/1,
                          /*default_warmup=*/0);
   const double scale = flags.GetDouble("scale", 0.1);
-  const uint32_t nodes = static_cast<uint32_t>(flags.GetInt("nodes", 3));
   const uint32_t iters = static_cast<uint32_t>(flags.GetInt("iters", 2));
   const size_t workers = static_cast<size_t>(flags.GetInt("workers", 4));
   const double drop = flags.GetDouble("drop", 0.0);
@@ -111,9 +116,9 @@ int main(int argc, char** argv) {
   const uint32_t writes = static_cast<uint32_t>(flags.GetInt("writes", 0));
   const uint32_t write_threads =
       static_cast<uint32_t>(flags.GetInt("write_threads", 2));
-  // --compression=0 ships uncompressed v1 frames (the pre-codec wire format);
-  // answers must stay bit-identical either way. The `bandwidth` row records
-  // what the codecs bought.
+  // --compression=0 ships every column plain (no codecs); answers must stay
+  // bit-identical either way. The `bandwidth` row records what the codecs
+  // bought.
   const bool compression = flags.GetBool("compression", true);
   bat::enc::SetWireCompression(compression);
 

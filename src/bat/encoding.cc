@@ -614,7 +614,7 @@ std::optional<ForPlan> PlanFor(const Column& c) {
   if (n < 8) return std::nullopt;
   if (c.kind() == ColumnKind::kDense) {
     // A dense tail is a sorted iota: always packable, and always smaller
-    // than the 8n bytes v1 materializes for it.
+    // than the 8n bytes a plain body materializes for it.
     const auto& dc = static_cast<const DenseOidColumn&>(c);
     return ForPlan{static_cast<int64_t>(dc.seqbase()), BitWidth(n - 1)};
   }

@@ -25,8 +25,8 @@ namespace dcy::bat::enc {
 // ---------------------------------------------------------------------------
 // Toggles
 
-/// Enables/disables wire compression process-wide (default on). Off emits
-/// byte-identical v1 frames — the backward-compat axis in CI bench smoke.
+/// Enables/disables wire compression process-wide (default on). Off ships
+/// every column plain (no codecs) — the uncompressed axis in CI bench smoke.
 void SetWireCompression(bool on);
 bool WireCompressionEnabled();
 

@@ -61,8 +61,8 @@ void ForEachRow(const MorselPlan& plan, size_t n, const Body& body) {
   }
 }
 
-/// Mirrors the scalar reference ValueLE (bat/scalar_reference.cc) for the
-/// boxed fallback on exotic type mixes.
+/// Mirrors the scalar reference ValueLE (tests/support/scalar_reference.cc)
+/// for the boxed fallback on exotic type mixes.
 bool ValueLE(const Value& a, const Value& b) {
   if (a.type == ValType::kStr) return a.s <= b.s;
   if (a.type == ValType::kDbl || b.type == ValType::kDbl) return a.AsDouble() <= b.AsDouble();

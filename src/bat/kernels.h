@@ -2,8 +2,8 @@
 // gather loops, int64 key extraction, and a flat open-addressing hash table
 // (MonetDB hash-heap style). Operators in bat/operators.cc compose these
 // instead of walking rows through virtual GetValue/AppendValue boxing; the
-// retained row-at-a-time implementations in bat/scalar_reference.h are the
-// differential-test oracle.
+// retained row-at-a-time implementations in tests/support/scalar_reference.h
+// are the differential-test oracle.
 #pragma once
 
 #include <cstdint>

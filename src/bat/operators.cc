@@ -16,7 +16,7 @@
 // open-addressing table on materialized int64 keys, and outputs are built by
 // bulk gather/append — no per-row Value boxing anywhere on the hot path. The
 // pre-vectorization row-at-a-time implementations live on as the
-// differential-test oracle in bat/scalar_reference.h.
+// differential-test oracle in tests/support/scalar_reference.h.
 //
 // Large inputs run morsel-parallel on the shared exec::Executor (see the
 // MorselPlan machinery in bat/kernels.h): hash-join probes and membership

@@ -9,12 +9,12 @@ namespace dcy::bat {
 namespace {
 
 constexpr uint32_t kMagic = 0xDC10B47u;  // "DC1.0 BAT"
-constexpr uint16_t kVersionPlain = 1;    // legacy pass-through layout
-constexpr uint16_t kVersionEncoded = 2;  // per-column codec byte ahead of the body
+// Version 1 (no per-column codec byte) is retired; its frames are rejected.
+constexpr uint16_t kVersion = 2;
 
 enum class HeadKind : uint8_t { kDense = 0, kMaterialized = 1 };
 
-/// v2 per-column encoding byte: low nibble = codec, high bits carry the
+/// Per-column encoding byte: low nibble = codec, high bits carry the
 /// sender's memoized sortedness so the receiver's cache starts warm.
 enum class WireCodec : uint8_t { kPlain = 0, kDict = 1, kFor = 2 };
 constexpr uint8_t kEncCodecMask = 0x0F;
@@ -65,8 +65,8 @@ Status Get(std::string_view in, size_t* pos, T* v) {
 }
 
 /// Plain string body size ([num_offsets][offsets][heap_size][heap]); a
-/// dictionary column re-materializes its per-row strings here (only the v1
-/// path and the rare incompressible-dict case pay this).
+/// dictionary column re-materializes its per-row strings here (only frames
+/// with compression off and the all-plain raw_bytes accounting pay this).
 size_t PlainStrBodySize(const Column& c) {
   if (c.kind() == ColumnKind::kStr) {
     const auto& sc = static_cast<const StrColumn&>(c);
@@ -111,11 +111,10 @@ void PutPlainStrBody(Cursor* out, const Column& c) {
   }
 }
 
-/// On-wire v1 size of one column body (type byte + row count + payload).
-size_t ColumnWireSize(const Column& c) {
-  constexpr size_t kColHeader = 1 + 8;  // type byte + uint64 row count
-  if (c.type() == ValType::kStr) return kColHeader + PlainStrBodySize(c);
-  return kColHeader + c.size() * ValTypeWidth(c.type());
+/// Plain (codec-free) body size of one column.
+size_t PlainBodySize(const Column& c) {
+  if (c.type() == ValType::kStr) return PlainStrBodySize(c);
+  return c.size() * ValTypeWidth(c.type());
 }
 
 void PutPlainFixedBody(Cursor* out, const Column& c) {
@@ -138,17 +137,7 @@ void PutPlainFixedBody(Cursor* out, const Column& c) {
   }
 }
 
-void PutColumn(Cursor* out, const Column& c) {
-  out->Put<uint8_t>(static_cast<uint8_t>(c.type()));
-  out->Put<uint64_t>(c.size());
-  if (c.type() == ValType::kStr) {
-    PutPlainStrBody(out, c);
-    return;
-  }
-  PutPlainFixedBody(out, c);
-}
-
-/// One column's v2 codec decision plus everything needed to emit its body.
+/// One column's codec decision plus everything needed to emit its body.
 struct ColPlan {
   const Column* col = nullptr;
   WireCodec codec = WireCodec::kPlain;
@@ -164,10 +153,14 @@ uint8_t SortednessBits(const Column& c) {
   return kEncSortedKnown | (c.IsSorted() ? kEncSorted : 0);
 }
 
-ColPlan PlanColumnV2(const Column& c) {
+/// Plans one column; with `compress` off every column ships plain (an
+/// in-memory dictionary column is materialized).
+ColPlan PlanColumn(const Column& c, bool compress) {
   ColPlan p;
   p.col = &c;
-  if (c.type() == ValType::kStr) {
+  if (!compress) {
+    p.body_size = PlainBodySize(c);
+  } else if (c.type() == ValType::kStr) {
     if (c.kind() == ColumnKind::kDict) {
       // Already dictionary-encoded in memory (decoded off the ring): reuse
       // its dictionary and codes verbatim, no analysis.
@@ -191,7 +184,7 @@ ColPlan PlanColumnV2(const Column& c) {
     p.forp = *fp;
     p.body_size = 8 + 1 + enc::PackedBytes(c.size(), fp->bits);
   } else {
-    p.body_size = c.size() * ValTypeWidth(c.type());
+    p.body_size = PlainBodySize(c);
   }
   p.enc_byte = static_cast<uint8_t>(p.codec);
   if (p.codec == WireCodec::kFor) {
@@ -272,7 +265,7 @@ void PutForBody(Cursor* out, const ColPlan& p) {
   }
 }
 
-void PutColumnV2(Cursor* out, const ColPlan& p) {
+void PutColumn(Cursor* out, const ColPlan& p) {
   const Column& c = *p.col;
   out->Put<uint8_t>(static_cast<uint8_t>(c.type()));
   out->Put<uint8_t>(p.enc_byte);
@@ -291,8 +284,7 @@ void PutColumnV2(Cursor* out, const ColPlan& p) {
   }
 }
 
-/// Decodes a pass-through column body (shared by v1 columns and v2 columns
-/// whose encoding byte says kPlain).
+/// Decodes a pass-through column body (encoding byte kPlain).
 Result<ColumnPtr> GetPlainBody(std::string_view in, size_t* pos, ValType type,
                                uint64_t n) {
   if (type == ValType::kStr) {
@@ -334,24 +326,8 @@ Result<ColumnPtr> GetPlainBody(std::string_view in, size_t* pos, ValType type,
   return Status::Corruption("bad column type");
 }
 
-/// v1 column: [type u8][count u64][plain body].
+/// Column: [type u8][enc u8][count u64][codec body].
 Result<ColumnPtr> GetColumn(std::string_view in, size_t* pos) {
-  uint8_t type_raw = 0;
-  uint64_t n = 0;
-  DCY_RETURN_NOT_OK(Get(in, pos, &type_raw));
-  DCY_RETURN_NOT_OK(Get(in, pos, &n));
-  if (type_raw > static_cast<uint8_t>(ValType::kDate)) {
-    return Status::Corruption("bad column type");
-  }
-  // Overflow-safe row bound: every plain row costs at least 4 payload bytes,
-  // so a count beyond the remaining buffer is corrupt (and would overflow
-  // the size arithmetic below).
-  if (n > in.size() / 4) return Status::Corruption("implausible row count");
-  return GetPlainBody(in, pos, static_cast<ValType>(type_raw), n);
-}
-
-/// v2 column: [type u8][enc u8][count u64][codec body].
-Result<ColumnPtr> GetColumnV2(std::string_view in, size_t* pos) {
   uint8_t type_raw = 0, enc_byte = 0;
   uint64_t n = 0;
   DCY_RETURN_NOT_OK(Get(in, pos, &type_raw));
@@ -539,14 +515,18 @@ uint32_t Crc32(const void* data, size_t n) {
 
 struct FrameEncoder::Plan {
   const Bat* bat = nullptr;
-  bool v2 = false;
-  std::optional<ColPlan> head;  ///< nullopt when the head is dense (or v1)
-  std::optional<ColPlan> tail;  ///< nullopt when v1
+  std::optional<ColPlan> head;  ///< nullopt when the head is dense
+  ColPlan tail;
   size_t total = 0;
   CodecStats stats;
 };
 
 namespace {
+
+/// Body size of the planned column had it shipped plain.
+size_t PlainSize(const ColPlan& p) {
+  return p.codec == WireCodec::kPlain ? p.body_size : PlainBodySize(*p.col);
+}
 
 void CountColumn(WireCodec codec, CodecStats* stats) {
   switch (codec) {
@@ -561,33 +541,25 @@ void CountColumn(WireCodec codec, CodecStats* stats) {
 FrameEncoder::FrameEncoder(const Bat& b) : plan_(std::make_unique<Plan>()) {
   Plan& p = *plan_;
   p.bat = &b;
-  p.v2 = enc::WireCompressionEnabled();
+  const bool compress = enc::WireCompressionEnabled();
+  constexpr size_t kColHeader = 1 + 1 + 8;  // type, encoding byte, row count
+  // `raw` sizes the same frame with every column plain: with compression off
+  // it equals the frame size exactly.
   size_t total = kPreludeBytes;
   size_t raw = kPreludeBytes;
-  const size_t col_header = p.v2 ? (1 + 1 + 8) : (1 + 8);
   if (b.HasDenseHead()) {
     total += 8 + 8;  // seqbase + count
     raw += 8 + 8;
   } else {
-    raw += ColumnWireSize(*b.head());
-    if (p.v2) {
-      p.head = PlanColumnV2(*b.head());
-      total += col_header + p.head->body_size;
-      CountColumn(p.head->codec, &p.stats);
-    } else {
-      total += ColumnWireSize(*b.head());
-      ++p.stats.plain_columns;
-    }
+    p.head = PlanColumn(*b.head(), compress);
+    total += kColHeader + p.head->body_size;
+    raw += kColHeader + PlainSize(*p.head);
+    CountColumn(p.head->codec, &p.stats);
   }
-  raw += ColumnWireSize(*b.tail());
-  if (p.v2) {
-    p.tail = PlanColumnV2(*b.tail());
-    total += col_header + p.tail->body_size;
-    CountColumn(p.tail->codec, &p.stats);
-  } else {
-    total += ColumnWireSize(*b.tail());
-    ++p.stats.plain_columns;
-  }
+  p.tail = PlanColumn(*b.tail(), compress);
+  total += kColHeader + p.tail.body_size;
+  raw += kColHeader + PlainSize(p.tail);
+  CountColumn(p.tail.codec, &p.stats);
   p.total = total + kCrcBytes;
   p.stats.raw_bytes = raw + kCrcBytes;
   p.stats.wire_bytes = p.total;
@@ -604,7 +576,7 @@ void FrameEncoder::SerializeInto(std::string* out) const {
   const Bat& b = *p.bat;
   Cursor cur(out, p.total);
   cur.Put<uint32_t>(kMagic);
-  cur.Put<uint16_t>(p.v2 ? kVersionEncoded : kVersionPlain);
+  cur.Put<uint16_t>(kVersion);
   cur.Put<uint8_t>(PackProps(b.props()));
 
   if (b.HasDenseHead()) {
@@ -613,11 +585,9 @@ void FrameEncoder::SerializeInto(std::string* out) const {
     cur.Put<uint64_t>(b.size());
   } else {
     cur.Put<uint8_t>(static_cast<uint8_t>(HeadKind::kMaterialized));
-    if (p.v2) PutColumnV2(&cur, *p.head);
-    else PutColumn(&cur, *b.head());
+    PutColumn(&cur, *p.head);
   }
-  if (p.v2) PutColumnV2(&cur, *p.tail);
-  else PutColumn(&cur, *b.tail());
+  PutColumn(&cur, p.tail);
   cur.Put<uint32_t>(Crc32(out->data(), cur.pos()));
   DCY_DCHECK(out->size() == p.total);
 }
@@ -651,10 +621,7 @@ Result<BatPtr> Deserialize(std::string_view buffer) {
   DCY_RETURN_NOT_OK(Get(buffer, &pos, &magic));
   if (magic != kMagic) return Status::Corruption("bad BAT magic");
   DCY_RETURN_NOT_OK(Get(buffer, &pos, &version));
-  if (version != kVersionPlain && version != kVersionEncoded) {
-    return Status::Corruption("unsupported BAT version");
-  }
-  const bool v2 = version == kVersionEncoded;
+  if (version != kVersion) return Status::Corruption("unsupported BAT version");
   DCY_RETURN_NOT_OK(Get(buffer, &pos, &props_raw));
   DCY_RETURN_NOT_OK(Get(buffer, &pos, &head_kind));
 
@@ -665,11 +632,9 @@ Result<BatPtr> Deserialize(std::string_view buffer) {
     DCY_RETURN_NOT_OK(Get(buffer, &pos, &n));
     head = MakeDenseOid(seqbase, n);
   } else {
-    DCY_ASSIGN_OR_RETURN(head, v2 ? GetColumnV2(buffer, &pos)
-                                  : GetColumn(buffer, &pos));
+    DCY_ASSIGN_OR_RETURN(head, GetColumn(buffer, &pos));
   }
-  DCY_ASSIGN_OR_RETURN(ColumnPtr tail, v2 ? GetColumnV2(buffer, &pos)
-                                          : GetColumn(buffer, &pos));
+  DCY_ASSIGN_OR_RETURN(ColumnPtr tail, GetColumn(buffer, &pos));
   if (head->size() != tail->size()) return Status::Corruption("head/tail size mismatch");
   return BatPtr(std::make_shared<Bat>(std::move(head), std::move(tail),
                                       UnpackProps(props_raw)));

@@ -5,12 +5,13 @@
 // front, the buffer is sized once, and fixed-width columns land with a
 // single memcpy (dense oid ranges encode as two words of metadata).
 //
-// Two frame versions coexist. v1 is the uncompressed legacy layout (emitted
-// when enc::WireCompressionEnabled() is off). v2 adds a per-column encoding
-// byte selecting a codec — pass-through, dictionary (sorted dict +
+// One frame version (v2) is written and read. Each column carries an
+// encoding byte selecting a codec — pass-through, dictionary (sorted dict +
 // bit-packed codes for low-cardinality strings), or FOR (reference +
 // bit-packed deltas for sorted integers) — plus the sender's memoized
-// sortedness so receivers never rescan. Deserialize accepts both.
+// sortedness so receivers never rescan. With enc::WireCompressionEnabled()
+// off every column is pass-through. The retired v1 layout (no encoding
+// byte) is rejected as Corruption.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,7 @@ namespace dcy::bat {
 /// Per-frame codec accounting, accumulated into the ring's bandwidth
 /// counters (RingCluster::BandwidthMetrics).
 struct CodecStats {
-  size_t raw_bytes = 0;       ///< what the v1 layout would have shipped
+  size_t raw_bytes = 0;       ///< the same frame with every column plain
   size_t wire_bytes = 0;      ///< actual frame size
   uint32_t dict_columns = 0;
   uint32_t for_columns = 0;
@@ -68,9 +69,10 @@ void SerializeInto(const Bat& b, std::string* out);
 /// Encodes a BAT (header, both columns, properties, CRC).
 std::string Serialize(const Bat& b);
 
-/// Decodes; verifies magic, version and CRC. Accepts v1 and v2 frames;
-/// dictionary columns decode to DictStrColumn (kernels run on the codes),
-/// FOR columns unpack to plain fixed columns with sortedness pre-seeded.
+/// Decodes; verifies magic, version and CRC (any version but 2 is
+/// Corruption). Dictionary columns decode to DictStrColumn (kernels run on
+/// the codes), FOR columns unpack to plain fixed columns with sortedness
+/// pre-seeded.
 Result<BatPtr> Deserialize(std::string_view buffer);
 
 /// CRC32 (IEEE, table-driven) over a byte range.

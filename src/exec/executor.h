@@ -1,6 +1,6 @@
 // Process-wide work-stealing task executor: the substrate for morsel-driven
 // parallel kernels (bat/kernels.h) and dataflow plan execution
-// (mal::Interpreter::RunDataflow). One fixed pool of worker threads serves
+// (mal::Interpreter::Execute with workers > 1). One fixed pool of worker threads serves
 // every concurrent query session on the ring, so parallel queries share
 // cores instead of oversubscribing the machine with per-query thread pools
 // (the paper's §4.1 "concurrent interpreter threads" on a shared engine).

@@ -114,12 +114,6 @@ std::vector<std::vector<size_t>> BuildDependencies(const Program& program) {
   return deps;
 }
 
-Result<Datum> Interpreter::RunDataflow(const Program& program, size_t workers) {
-  ExecOptions options;
-  options.workers = workers;
-  return Execute(program, options);
-}
-
 Result<Datum> Interpreter::RunParallel(const Program& program,
                                        const ExecOptions& options) {
   vars_.clear();

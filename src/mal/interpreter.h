@@ -15,7 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bat/catalog.h"
+#include "bat/fragment_source.h"
 #include "common/status.h"
 #include "mal/program.h"
 #include "mal/value.h"
@@ -157,21 +157,17 @@ class Interpreter {
   Interpreter(const Registry* registry, Context context)
       : registry_(registry), context_(context) {}
 
-  /// Runs `program` under `options` (sequentially for workers <= 1, else
-  /// with dataflow parallelism). Returns the value of the last assigned
+  /// Runs `program` under `options`: sequentially for workers <= 1, else
+  /// with dataflow parallelism — up to `workers` instructions execute
+  /// concurrently as tasks on the process-wide exec::Executor (the calling
+  /// thread participates; no threads are created per query). Blocking pin()
+  /// calls occupy only their task slot; the executor backfills the blocked
+  /// capacity from its reserve pool. Returns the value of the last assigned
   /// variable (or nil).
   Result<Datum> Execute(const Program& program, const ExecOptions& options);
 
   /// Runs instructions in order (Execute with default options).
   Result<Datum> Run(const Program& program);
-
-  /// Runs with dataflow parallelism: up to `workers` instructions execute
-  /// concurrently as tasks on the process-wide exec::Executor (the calling
-  /// thread participates; no threads are created per query). Blocking pin()
-  /// calls occupy only their task slot — the executor backfills the blocked
-  /// capacity from its reserve pool. Falls back to sequential for
-  /// workers <= 1.
-  Result<Datum> RunDataflow(const Program& program, size_t workers);
 
   /// Variable bindings after the last Run (for tests/inspection).
   const std::unordered_map<std::string, Datum>& variables() const { return vars_; }

@@ -152,18 +152,6 @@ class RingCluster::Node final : public core::DcEnv {
     uint64_t decode_failures = 0;
   };
 
-  /// Wire-compression bookkeeping of this node's serialize/send path.
-  struct WireMetrics {
-    uint64_t frames_encoded = 0;
-    uint64_t raw_bytes = 0;
-    uint64_t wire_bytes = 0;
-    uint64_t hops = 0;
-    uint64_t hop_bytes = 0;
-    uint64_t dict_columns = 0;
-    uint64_t for_columns = 0;
-    uint64_t plain_columns = 0;
-  };
-
   Node(RingCluster* cluster, core::NodeId id)
       : cluster_(cluster),
         id_(id),
@@ -1196,7 +1184,7 @@ class RingCluster::Node final : public core::DcEnv {
   net::ReliableReceiver data_rx_;  // frames from predecessor(s)
   net::ReliableReceiver req_rx_;   // frames from successor(s)
   HopMetrics hop_;
-  WireMetrics wire_;
+  BandwidthMetrics wire_;  // serialize/send-path compression counters
   SimTime last_heard_succ_ = 0;
   SimTime last_heard_pred_ = 0;
 
@@ -1535,6 +1523,14 @@ class QueryWriteHooks final : public mal::WriteHooks {
 // ===========================================================================
 // RingCluster
 // ===========================================================================
+
+Result<uint32_t> CheckRingSize(int64_t nodes) {
+  if (nodes < 2 || nodes > kMaxRingNodes) {
+    return Status::InvalidArgument("ring size " + std::to_string(nodes) +
+                                   " outside [2, " + std::to_string(kMaxRingNodes) + "]");
+  }
+  return static_cast<uint32_t>(nodes);
+}
 
 RingCluster::RingCluster(Options options) : options_(options) {
   DCY_CHECK(options_.num_nodes >= 2);
@@ -2050,15 +2046,6 @@ Result<Session> RingCluster::OpenSession(core::NodeId node) {
   return Session(this, node);
 }
 
-Result<PreparedQueryPtr> RingCluster::Prepare(const std::string& mal_text, bool optimize,
-                                              bool use_cache) {
-  PrepareOptions options;
-  options.language = Language::kMAL;
-  options.optimize = optimize;
-  options.use_cache = use_cache;
-  return Prepare(mal_text, options);
-}
-
 Result<PreparedQueryPtr> RingCluster::Prepare(const std::string& text,
                                               const PrepareOptions& options) {
   Language language = options.language;
@@ -2185,24 +2172,6 @@ Result<QueryResult> RingCluster::RunQuery(Node* node, const PreparedQuery& plan,
   }
   qr.result = ResultSet::Build(table, std::move(result).value());
   return qr;
-}
-
-Result<QueryOutcome> RingCluster::ExecuteMal(core::NodeId node_id,
-                                             const std::string& mal_text, bool optimize) {
-  // Compatibility wrapper: one blocking trip through the session path. The
-  // shared plan cache still amortizes the parse + optimize across calls.
-  DCY_ASSIGN_OR_RETURN(PreparedQueryPtr prepared, Prepare(mal_text, optimize));
-  DCY_ASSIGN_OR_RETURN(QueryHandle handle, Submit(node_id, prepared));
-  auto result = handle.Wait();
-  if (!result.ok()) return result.status();
-
-  QueryOutcome outcome;
-  outcome.query_id = result->query_id;
-  outcome.wall_seconds = result->timing.exec_seconds;
-  outcome.pin_blocked_seconds = result->timing.pin_blocked_seconds;
-  outcome.printed = result->result.ToText();
-  outcome.result = result->result.scalar();
-  return outcome;
 }
 
 core::DcNodeMetrics RingCluster::NodeMetrics(core::NodeId node) const {

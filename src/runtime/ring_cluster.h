@@ -26,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bat/catalog.h"
 #include "common/status.h"
 #include "core/admission.h"
 #include "core/dc_node.h"
@@ -68,16 +67,14 @@ struct ResilienceOptions {
   SimTime idle_wait = FromMicros(200);
 };
 
-/// \brief Legacy outcome of one blocking ExecuteMal call. New code should
-/// use the session API and its typed QueryResult instead; this struct
-/// survives for the compatibility wrapper.
-struct QueryOutcome {
-  std::string printed;        ///< exported result rendered as text
-  mal::Datum result;          ///< last assigned variable
-  core::QueryId query_id = 0;
-  double wall_seconds = 0.0;  ///< execution wall time (steady_clock)
-  double pin_blocked_seconds = 0.0;  ///< summed blocked-pin wait
-};
+/// Largest ring a front end may request. Every node runs its own service,
+/// query-runner and compactor threads inside this one process, so a larger
+/// ring costs threads and memory without modelling anything new.
+inline constexpr uint32_t kMaxRingNodes = 64;
+
+/// Validates a requested ring size (a --nodes flag) before a RingCluster is
+/// built: InvalidArgument unless 2 <= nodes <= kMaxRingNodes.
+Result<uint32_t> CheckRingSize(int64_t nodes);
 
 /// \brief A complete in-process ring.
 class RingCluster {
@@ -167,21 +164,11 @@ class RingCluster {
   /// auto-detection. Pass `use_cache = false` to force a fresh compilation
   /// (benchmarking).
   Result<PreparedQueryPtr> Prepare(const std::string& text,
-                                   const PrepareOptions& options);
-  /// Back-compat shim: MAL-only, positional optimize/use_cache flags.
-  Result<PreparedQueryPtr> Prepare(const std::string& mal_text, bool optimize = true,
-                                   bool use_cache = true);
+                                   const PrepareOptions& options = {});
 
   /// Asynchronous submission against `node` (see Session::Submit).
   Result<QueryHandle> Submit(core::NodeId node, const PreparedQueryPtr& prepared,
                              const SubmitOptions& options = {});
-
-  /// \deprecated Blocking string-in/string-out compatibility wrapper over
-  /// Prepare + Submit + Wait. Parses/optimizes through the shared plan cache
-  /// and runs under the node's admission control; prefer the session API
-  /// (OpenSession / Prepare / Submit) for new code.
-  Result<QueryOutcome> ExecuteMal(core::NodeId node, const std::string& mal_text,
-                                  bool optimize = true);
 
   /// Directory lookup: the BAT id registered for "schema.table.column".
   Result<core::BatId> FindFragment(const std::string& name) const;
@@ -272,10 +259,10 @@ class RingCluster {
   ResilienceMetrics Resilience() const;
 
   /// \brief Wire-compression accounting summed over all nodes: what the
-  /// ring actually shipped vs the uncompressed v1 frames it would have.
+  /// ring actually shipped vs the same frames with every column plain.
   struct BandwidthMetrics {
     uint64_t frames_encoded = 0;  ///< BAT frames serialized for the ring
-    uint64_t raw_bytes = 0;       ///< v1-equivalent (uncompressed) frame bytes
+    uint64_t raw_bytes = 0;       ///< all-plain (uncompressed) frame bytes
     uint64_t wire_bytes = 0;      ///< frame bytes actually produced
     uint64_t hops = 0;            ///< payload-bearing data-frame sends
     uint64_t hop_bytes = 0;       ///< payload bytes summed over those sends

@@ -9,8 +9,8 @@
 //               queue and the caller gets a QueryHandle with Wait()/
 //               TryWait(), a deadline, and cooperative Cancel() that
 //               unblocks a session stuck in datacyclotron.pin.
-//   ResultSet — named, typed columns (span/row accessors) instead of the
-//               printed-string results of the legacy ExecuteMal entry point.
+//   ResultSet — named, typed columns (span/row accessors) plus the plan's
+//               final scalar and a tab-separated text rendering.
 //
 // Lifetimes: Session, PreparedQuery and QueryHandle must not outlive the
 // RingCluster that produced them.
@@ -111,7 +111,7 @@ class ResultSet {
   const mal::Datum& scalar() const { return scalar_; }
 
   /// Tab-separated rendering ("table.name" header + rows), byte-identical to
-  /// what sql.exportResult used to print into QueryOutcome::printed.
+  /// what sql.exportResult prints into mal::Context::out.
   std::string ToText() const;
 
  private:
@@ -272,8 +272,6 @@ class Session {
   /// text may be MAL or SQL; `options.language` selects (default: detect).
   Result<PreparedQueryPtr> Prepare(const std::string& text,
                                    const PrepareOptions& options = {});
-  /// Back-compat shim for the MAL-only signature of the original API.
-  Result<PreparedQueryPtr> Prepare(const std::string& text, bool optimize);
 
   /// Asynchronous submission into this node's admission queue. Fails with
   /// ResourceExhausted when the queue is full (backpressure) and

@@ -35,7 +35,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "bat/catalog.h"
+#include "bat/fragment_source.h"
 #include "common/status.h"
 #include "core/loi.h"
 #include "core/types.h"

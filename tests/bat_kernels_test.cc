@@ -1,7 +1,8 @@
 // Differential tests for the vectorized kernel engine: every hot operator is
-// pitted against the retained scalar reference (bat/scalar_reference.h) over
-// randomized inputs covering all ValTypes and degenerate shapes (empty,
-// duplicate-heavy, sorted), asserting bit-identical results. Plus direct
+// pitted against the retained scalar reference
+// (tests/support/scalar_reference.h) over randomized inputs covering all
+// ValTypes and degenerate shapes (empty, duplicate-heavy, sorted), asserting
+// bit-identical results. Plus direct
 // kernel unit tests (FlatTable, gather, selection vectors) and round trips
 // through the bulk serializer.
 #include <gtest/gtest.h>
@@ -13,10 +14,10 @@
 #include "bat/encoding.h"
 #include "bat/kernels.h"
 #include "bat/operators.h"
-#include "bat/scalar_reference.h"
 #include "bat/serialize.h"
 #include "common/random.h"
 #include "exec/executor.h"
+#include "tests/support/scalar_reference.h"
 
 namespace dcy::bat {
 namespace {

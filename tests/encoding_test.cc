@@ -1,9 +1,10 @@
 // Tests of the wire-compression layer (bat/encoding.h + the v2 frame format
 // in bat/serialize.cc): bit-pack round trips at every width, dictionary and
-// FOR codec round trips across types and shapes, v1 backward compatibility,
-// SIMD-vs-scalar differential checks of every encoding-aware kernel, codec
-// accounting, and the same byte-flip / truncation decode fuzz the v1 format
-// passes (every mutation must fail typed as Corruption, never crash).
+// FOR codec round trips across types and shapes, all-plain frames with
+// compression off, SIMD-vs-scalar differential checks of every
+// encoding-aware kernel, codec accounting, and byte-flip / truncation /
+// retired-version decode fuzz (every mutation must fail typed as
+// Corruption, never crash).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -293,31 +294,35 @@ TEST(CodecRoundTripTest, DenseHeadsAndAllTypesRoundTrip) {
   }
 }
 
-TEST(CodecRoundTripTest, V1FramesStillDecodeAndDictColumnsDowngrade) {
-  // A frame produced with compression off is the v1 layout; it must decode
-  // with compression on (receivers never assume the sender's setting).
+TEST(CodecRoundTripTest, CompressionOffShipsAllPlainFrames) {
+  // With compression off every column ships plain: the frame is v2, counts
+  // no codec columns, costs exactly its all-plain size, and does not depend
+  // on whether the source string column is held dictionary-encoded.
   auto b = LowCardStrings(200, 5);
-  std::string v1_frame;
-  {
-    enc::ScopedWireCompression off(false);
-    v1_frame = Serialize(*b);
-  }
-  enc::ScopedWireCompression on(true);
-  auto restored = Deserialize(v1_frame);
-  ASSERT_TRUE(restored.ok());
-  EXPECT_EQ((*restored)->tail()->kind(), ColumnKind::kStr);
-  ExpectSameRows(*restored, b, "v1 decode");
-  // And an in-memory dictionary column serialized with compression OFF must
-  // re-materialize the plain v1 string body (old receivers know no codecs).
   auto dict_bat = Deserialize(Serialize(*b));
   ASSERT_TRUE(dict_bat.ok());
   ASSERT_EQ((*dict_bat)->tail()->kind(), ColumnKind::kDict);
-  std::string downgraded;
-  {
-    enc::ScopedWireCompression off(false);
-    downgraded = Serialize(**dict_bat);
-  }
-  EXPECT_EQ(downgraded, v1_frame);
+
+  enc::ScopedWireCompression off(false);
+  const FrameEncoder fe(*b);
+  EXPECT_EQ(fe.stats().dict_columns + fe.stats().for_columns, 0u);
+  EXPECT_EQ(fe.stats().plain_columns, 1u);  // the dense head has no column
+  EXPECT_EQ(fe.stats().wire_bytes, fe.stats().raw_bytes);
+  const std::string frame = Serialize(*b);
+  EXPECT_EQ(frame.size(), fe.stats().wire_bytes);
+  uint16_t version = 0;
+  std::memcpy(&version, frame.data() + 4, sizeof(version));  // after the magic
+  EXPECT_EQ(version, 2u);
+
+  const FrameEncoder fe_dict(**dict_bat);
+  EXPECT_EQ(fe_dict.stats().dict_columns, 0u);
+  EXPECT_EQ(fe_dict.stats().wire_bytes, fe_dict.stats().raw_bytes);
+  EXPECT_EQ(Serialize(**dict_bat), frame);
+
+  auto restored = Deserialize(frame);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ((*restored)->tail()->kind(), ColumnKind::kStr);
+  ExpectSameRows(*restored, b, "all-plain roundtrip");
 }
 
 TEST(CodecRoundTripTest, EncoderPlansOnceForSizeAndBytes) {
@@ -399,6 +404,23 @@ TEST(EncodedDecodeFuzzTest, EveryByteFlipIsCorruption) {
             << name << ": " << decoded.status().ToString();
       }
     }
+  }
+}
+
+TEST(EncodedDecodeFuzzTest, RetiredVersionOneIsCorruption) {
+  // Rewrite the version field to 1 and recompute the CRC, so the decoder
+  // gets past the checksum and must refuse the version itself.
+  for (auto [name, frame] : EncodedFuzzFrames()) {
+    const uint16_t v1 = 1;
+    std::memcpy(frame.data() + 4, &v1, sizeof(v1));  // after the magic
+    const uint32_t crc = Crc32(frame.data(), frame.size() - 4);
+    std::memcpy(frame.data() + frame.size() - 4, &crc, sizeof(crc));
+    auto decoded = Deserialize(frame);
+    ASSERT_FALSE(decoded.ok()) << name;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption) << name;
+    EXPECT_NE(decoded.status().ToString().find("unsupported BAT version"),
+              std::string::npos)
+        << name << ": " << decoded.status().ToString();
   }
 }
 

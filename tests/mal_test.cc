@@ -1,10 +1,11 @@
 // Tests for the MAL layer: parser, dataflow dependency builder, interpreter
-// (sequential + parallel), the builtin operators, and the catalog.
+// (sequential + parallel), and the builtin operators.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 
-#include "bat/catalog.h"
+#include "bat/fragment_source.h"
 #include "bat/operators.h"
 #include "mal/interpreter.h"
 #include "mal/program.h"
@@ -112,18 +113,39 @@ X3 := a.h(X2);
   EXPECT_EQ(deps[3], (std::vector<size_t>{2}));
 }
 
+/// In-memory fragments by name and id: what sql.bind reads on one node.
+class FakeFragments : public bat::FragmentSource {
+ public:
+  void Add(const std::string& name, core::BatId id, bat::BatPtr b) {
+    by_name_[name] = b;
+    by_id_[id] = std::move(b);
+  }
+  Result<bat::BatPtr> GetByName(const std::string& name) override {
+    auto it = by_name_.find(name);
+    if (it == by_name_.end()) return Status::NotFound("BAT " + name);
+    return it->second;
+  }
+  Result<bat::BatPtr> GetById(core::BatId id) override {
+    auto it = by_id_.find(id);
+    if (it == by_id_.end()) return Status::NotFound("BAT id " + std::to_string(id));
+    return it->second;
+  }
+
+ private:
+  std::map<std::string, bat::BatPtr> by_name_;
+  std::map<core::BatId, bat::BatPtr> by_id_;
+};
+
 struct EngineFixture : public ::testing::Test {
-  EngineFixture() : catalog("") {
+  EngineFixture() {
     // sys.t(id int): ids 1..4 ; sys.c(t_id int): references 2,3,3,5.
-    DCY_CHECK_OK(catalog.Register("sys.t.id", 1,
-                                  bat::Bat::MakeColumn(bat::MakeIntColumn({1, 2, 3, 4}))));
-    DCY_CHECK_OK(catalog.Register(
-        "sys.c.t_id", 2, bat::Bat::MakeColumn(bat::MakeIntColumn({2, 3, 3, 5}))));
+    catalog.Add("sys.t.id", 1, bat::Bat::MakeColumn(bat::MakeIntColumn({1, 2, 3, 4})));
+    catalog.Add("sys.c.t_id", 2, bat::Bat::MakeColumn(bat::MakeIntColumn({2, 3, 3, 5})));
     ctx.catalog = &catalog;
     ctx.out = &out;
   }
 
-  bat::BatCatalog catalog;
+  FakeFragments catalog;
   std::ostringstream out;
   Context ctx;
 };
@@ -157,7 +179,9 @@ TEST_F(EngineFixture, DataflowExecutionMatchesSequential) {
   Context ctx2 = ctx;
   ctx2.out = &out2;
   Interpreter par(&Registry::Global(), ctx2);
-  auto result = par.RunDataflow(*prog, 4);
+  ExecOptions opts;
+  opts.workers = 4;
+  auto result = par.Execute(*prog, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(out.str(), out2.str());
 }
@@ -306,29 +330,6 @@ TEST_F(EngineFixture, DcCallsWithoutRingFail) {
   auto prog = ParseProgram(R"(X1 := datacyclotron.request("sys","t","id",0);)");
   Interpreter interp(&Registry::Global(), ctx);  // ctx.dc == nullptr
   EXPECT_EQ(interp.Run(*prog).status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(CatalogTest, SpillAndReload) {
-  const std::string dir = ::testing::TempDir() + "/dcy_spill";
-  bat::BatCatalog catalog(dir);
-  auto b = bat::Bat::MakeColumn(bat::MakeIntColumn({7, 8, 9}));
-  ASSERT_TRUE(catalog.Register("s.t.c", 5, b).ok());
-  EXPECT_GT(catalog.resident_bytes(), 0u);
-
-  ASSERT_TRUE(catalog.Spill(5).ok());
-  EXPECT_TRUE(catalog.IsSpilled(5));
-  EXPECT_EQ(catalog.resident_bytes(), 0u);
-
-  auto back = catalog.GetById(5);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_FALSE(catalog.IsSpilled(5));
-  EXPECT_EQ((*back)->tail()->GetInt64(2), 9);
-
-  EXPECT_EQ(catalog.IdOf("s.t.c").value(), 5u);
-  EXPECT_TRUE(catalog.GetByName("s.t.c").ok());
-  EXPECT_TRUE(catalog.Register("s.t.c", 6, b).code() == StatusCode::kAlreadyExists);
-  ASSERT_TRUE(catalog.Drop(5).ok());
-  EXPECT_TRUE(catalog.GetById(5).status().IsNotFound());
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // End-to-end tests of the live multi-threaded ring: real MAL plans rewritten
 // by the DcOptimizer, real BAT payloads circulating over the RDMA-emulating
 // channels, results identical to single-node execution.
-//
-// These tests intentionally keep driving the deprecated ExecuteMal wrapper:
-// it must stay behaviour-identical while routing through the session path
-// (plan cache + admission queue). The session API itself is covered in
+// Queries run through the session path (OpenSession + Execute: plan cache
+// + admission queue); the session API's own contracts are covered in
 // session_test.cc.
 #include <gtest/gtest.h>
 
@@ -66,12 +64,22 @@ class RuntimeRing : public ::testing::Test {
     cluster->Start();
   }
 
-  void ExpectTable1Result(const QueryOutcome& outcome) {
-    EXPECT_NE(outcome.printed.find("sys.c.t_id"), std::string::npos);
+  /// One blocking query on `node` through a fresh session.
+  Result<QueryResult> ExecuteOn(core::NodeId node, const std::string& text,
+                          bool optimize = true) {
+    DCY_ASSIGN_OR_RETURN(Session session, cluster->OpenSession(node));
+    PrepareOptions prepare;
+    prepare.optimize = optimize;
+    return session.Execute(text, {}, prepare);
+  }
+
+  void ExpectTable1Result(const QueryResult& outcome) {
+    const std::string text = outcome.result.ToText();
+    EXPECT_NE(text.find("sys.c.t_id"), std::string::npos);
     // Rows {2, 3, 3} in some order.
-    EXPECT_NE(outcome.printed.find("2"), std::string::npos);
-    EXPECT_NE(outcome.printed.find("3"), std::string::npos);
-    EXPECT_EQ(outcome.printed.find("5"), std::string::npos);
+    EXPECT_NE(text.find("2"), std::string::npos);
+    EXPECT_NE(text.find("3"), std::string::npos);
+    EXPECT_EQ(text.find("5"), std::string::npos);
   }
 
   std::unique_ptr<RingCluster> cluster;
@@ -79,7 +87,7 @@ class RuntimeRing : public ::testing::Test {
 
 TEST_F(RuntimeRing, ExecutesPaperPlanOverTheRing) {
   SetUpCluster(FastOptions());
-  auto outcome = cluster->ExecuteMal(0, kTable1Plan, /*optimize=*/true);
+  auto outcome = ExecuteOn(0, kTable1Plan);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ExpectTable1Result(*outcome);
 
@@ -93,29 +101,29 @@ TEST_F(RuntimeRing, ExecutesPaperPlanOverTheRing) {
 TEST_F(RuntimeRing, LocalExecutionOnOwnerNeedsNoRing) {
   SetUpCluster(FastOptions());
   // Node 1 owns sys.t.id; a plan touching only that BAT pins locally.
-  auto outcome = cluster->ExecuteMal(1, R"(
+  auto outcome = ExecuteOn(1, R"(
 X1 := sql.bind("sys","t","id",0);
 X2 := aggr.sum(X1);
 )");
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(std::get<int64_t>(outcome->result), 10);  // 1+2+3+4
+  EXPECT_EQ(std::get<int64_t>(outcome->result.scalar()), 10);  // 1+2+3+4
   EXPECT_EQ(cluster->NodeMetrics(1).pins_blocked, 0u);
 }
 
 TEST_F(RuntimeRing, UnoptimizedPlanOnOwnerUsesSqlBindDirectly) {
   SetUpCluster(FastOptions());
-  auto outcome = cluster->ExecuteMal(1, R"(
+  auto outcome = ExecuteOn(1, R"(
 X1 := sql.bind("sys","t","id",0);
 X2 := aggr.count(X1);
 )", /*optimize=*/false);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(std::get<int64_t>(outcome->result), 4);
+  EXPECT_EQ(std::get<int64_t>(outcome->result.scalar()), 4);
 }
 
 TEST_F(RuntimeRing, EveryNodeCanRunTheSameQuery) {
   SetUpCluster(FastOptions(4));
   for (core::NodeId n = 0; n < 4; ++n) {
-    auto outcome = cluster->ExecuteMal(n, kTable1Plan);
+    auto outcome = ExecuteOn(n, kTable1Plan);
     ASSERT_TRUE(outcome.ok()) << "node " << n << ": " << outcome.status().ToString();
     ExpectTable1Result(*outcome);
   }
@@ -129,9 +137,9 @@ TEST_F(RuntimeRing, ConcurrentQueriesFromMultipleNodes) {
   for (core::NodeId n = 0; n < 4; ++n) {
     clients.emplace_back([&, n] {
       for (int q = 0; q < kQueriesPerNode; ++q) {
-        auto outcome = cluster->ExecuteMal(n, kTable1Plan);
+        auto outcome = ExecuteOn(n, kTable1Plan);
         if (!outcome.ok() ||
-            outcome->printed.find("sys.c.t_id") == std::string::npos) {
+            outcome->result.ToText().find("sys.c.t_id") == std::string::npos) {
           ++failures;
         }
       }
@@ -145,7 +153,7 @@ TEST_F(RuntimeRing, SteadyStateQueryTrafficCreatesZeroThreads) {
   SetUpCluster(FastOptions());
   // Warm-up: the first query may lazily construct the shared executor (its
   // fixed pool spawns exactly once per process).
-  ASSERT_TRUE(cluster->ExecuteMal(0, kTable1Plan).ok());
+  ASSERT_TRUE(ExecuteOn(0, kTable1Plan).ok());
   const auto warm = exec::Executor::Default().metrics();
 
   // Concurrent load from every node: plans run as tasks on the shared pool,
@@ -156,7 +164,7 @@ TEST_F(RuntimeRing, SteadyStateQueryTrafficCreatesZeroThreads) {
   for (core::NodeId n = 0; n < 3; ++n) {
     clients.emplace_back([&, n] {
       for (int q = 0; q < kQueriesPerNode; ++q) {
-        if (!cluster->ExecuteMal(n, kTable1Plan).ok()) ++failures;
+        if (!ExecuteOn(n, kTable1Plan).ok()) ++failures;
       }
     });
   }
@@ -184,14 +192,14 @@ TEST_F(RuntimeRing, ExecPolicyRidesOptionsIntoTheProcessPolicy) {
   EXPECT_EQ(policy.morsel_rows, 4096u);
   EXPECT_EQ(policy.min_parallel_rows, 8192u);
   // Queries still work under the custom policy.
-  auto outcome = cluster->ExecuteMal(0, kTable1Plan);
+  auto outcome = ExecuteOn(0, kTable1Plan);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ExpectTable1Result(*outcome);
 }
 
 TEST_F(RuntimeRing, MissingFragmentFailsTheQuery) {
   SetUpCluster(FastOptions());
-  auto outcome = cluster->ExecuteMal(0, R"(
+  auto outcome = ExecuteOn(0, R"(
 X1 := sql.bind("sys","ghost","col",0);
 X2 := aggr.count(X1);
 )");
@@ -205,7 +213,7 @@ TEST_F(RuntimeRing, ResultsMatchAcrossTransferModes) {
     auto opts = FastOptions();
     opts.mode = mode;
     SetUpCluster(opts);
-    auto outcome = cluster->ExecuteMal(0, kTable1Plan);
+    auto outcome = ExecuteOn(0, kTable1Plan);
     ASSERT_TRUE(outcome.ok())
         << rdma::TransferModeName(mode) << ": " << outcome.status().ToString();
     ExpectTable1Result(*outcome);
@@ -215,9 +223,9 @@ TEST_F(RuntimeRing, ResultsMatchAcrossTransferModes) {
 
 TEST_F(RuntimeRing, RepeatedQueriesReuseTheHotSet) {
   SetUpCluster(FastOptions());
-  ASSERT_TRUE(cluster->ExecuteMal(0, kTable1Plan).ok());
+  ASSERT_TRUE(ExecuteOn(0, kTable1Plan).ok());
   const auto first = cluster->NodeMetrics(1);  // owner of sys.t.id
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(cluster->ExecuteMal(0, kTable1Plan).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(ExecuteOn(0, kTable1Plan).ok());
   const auto later = cluster->NodeMetrics(1);
   // The fragment stays hot between queries: few (if any) additional loads.
   EXPECT_LE(later.bats_loaded - first.bats_loaded, 3u);

@@ -1,8 +1,7 @@
 // End-to-end tests of the session-based query API (ISSUE-4): prepared plans
 // shared through the cluster plan cache, asynchronous Submit with
 // Wait/TryWait/deadline/Cancel, typed ResultSet access, per-node FIFO
-// admission control with backpressure, and the ExecuteMal compatibility
-// wrapper's parity with the legacy behaviour.
+// admission control with backpressure, and the typed error surfaces.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -155,7 +154,9 @@ TEST_F(SessionApi, PreparedPlanCompilesExactlyOnce) {
   EXPECT_EQ(stats.entries, 1u);
 
   // An uncached Prepare compiles afresh without touching the cache counters.
-  auto uncached = cluster->Prepare(kTable1Plan, /*optimize=*/true, /*use_cache=*/false);
+  PrepareOptions no_cache;
+  no_cache.use_cache = false;
+  auto uncached = cluster->Prepare(kTable1Plan, no_cache);
   ASSERT_TRUE(uncached.ok());
   EXPECT_NE(uncached->get(), prepared->get());
   EXPECT_EQ(cluster->plan_cache_stats().misses, 1u);
@@ -442,37 +443,46 @@ TEST_F(SessionApi, CancelBeforeExecutionStartsCountsAsQueuedCancel) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy wrapper + LoadBat validation.
+// Result shapes, unoptimized plans, typed errors + LoadBat validation.
 // ---------------------------------------------------------------------------
 
-TEST_F(SessionApi, ExecuteMalWrapperMatchesSessionPath) {
+TEST_F(SessionApi, SessionPathServesScalarsUnoptimizedPlansAndTypedErrors) {
   SetUpCluster(FastOptions());
+  auto s0 = *cluster->OpenSession(0);
+  auto s1 = *cluster->OpenSession(1);
 
-  auto legacy = cluster->ExecuteMal(0, kTable1Plan, /*optimize=*/true);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  auto session = *cluster->OpenSession(0);
-  auto modern = session.Execute(kTable1Plan);
-  ASSERT_TRUE(modern.ok()) << modern.status().ToString();
+  auto table = s0.Execute(kTable1Plan);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_NE(table->result.ToText().find("sys.c.t_id"), std::string::npos);
+  EXPECT_GT(table->timing.exec_seconds, 0.0);
 
-  // The wrapper's printed text is exactly the typed result's rendering.
-  EXPECT_EQ(legacy->printed, modern->result.ToText());
-  EXPECT_NE(legacy->printed.find("sys.c.t_id"), std::string::npos);
-  EXPECT_GT(legacy->wall_seconds, 0.0);
+  // Scalar plans return the raw Datum. A one-argument cluster Prepare
+  // detects MAL and shares the session's plan-cache slot.
+  auto sum = s1.Execute(kSumPlan);
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(sum->result.scalar()), 10);
+  auto prepared = cluster->Prepare(kSumPlan);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  EXPECT_EQ(prepared->get(), s1.Prepare(kSumPlan)->get());
 
-  // Scalar plans keep returning the raw Datum through the wrapper.
-  auto sum = cluster->ExecuteMal(1, kSumPlan);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_EQ(std::get<int64_t>(sum->result), 10);
+  // An unoptimized plan (sql.bind straight off the owner's store) compiles
+  // once into its own cache slot and is reused afterwards.
+  PrepareOptions unoptimized;
+  unoptimized.optimize = false;
+  const auto before = cluster->plan_cache_stats();
+  for (int i = 0; i < 2; ++i) {
+    auto unopt = s1.Execute(kSumPlan, {}, unoptimized);
+    ASSERT_TRUE(unopt.ok()) << unopt.status().ToString();
+    EXPECT_EQ(std::get<int64_t>(unopt->result.scalar()), 10);
+  }
+  const auto after = cluster->plan_cache_stats();
+  EXPECT_EQ(after.misses, before.misses + 1);
+  EXPECT_EQ(after.hits, before.hits + 1);
 
-  // Unoptimized local execution still works through the wrapper.
-  auto unopt = cluster->ExecuteMal(1, kSumPlan, /*optimize=*/false);
-  ASSERT_TRUE(unopt.ok());
-  EXPECT_EQ(std::get<int64_t>(unopt->result), 10);
-
-  // Error surfaces are preserved.
-  EXPECT_TRUE(cluster->ExecuteMal(9, kSumPlan).status().IsInvalidArgument());
-  EXPECT_TRUE(cluster
-                  ->ExecuteMal(0, R"(
+  // Error surfaces: a bad node id and a missing fragment stay typed.
+  EXPECT_TRUE(cluster->OpenSession(9).status().IsInvalidArgument());
+  EXPECT_TRUE(cluster->Submit(9, *prepared).status().IsInvalidArgument());
+  EXPECT_TRUE(s0.Execute(R"(
 X1 := sql.bind("sys","ghost","col",0);
 X2 := aggr.count(X1);
 )")
@@ -500,9 +510,18 @@ TEST_F(SessionApi, LoadBatValidatesQualifiedNamesAndDuplicates) {
 
   ASSERT_TRUE(cluster->LoadBat(1, "sys.c.t_id", bat()).ok());
   cluster->Start();
-  auto outcome = cluster->ExecuteMal(1, kSumPlan);
+  auto outcome = cluster->OpenSession(1)->Execute(kSumPlan);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(std::get<int64_t>(outcome->result), 6);
+  EXPECT_EQ(std::get<int64_t>(outcome->result.scalar()), 6);
+}
+
+TEST(RingSizeTest, FrontEndsGetTypedErrorsOutsideTheSupportedRange) {
+  for (int64_t bad : {int64_t{-1}, int64_t{0}, int64_t{1}, int64_t{kMaxRingNodes} + 1,
+                      (int64_t{1} << 32) + 3}) {
+    EXPECT_TRUE(CheckRingSize(bad).status().IsInvalidArgument()) << bad;
+  }
+  EXPECT_EQ(CheckRingSize(2).value(), 2u);
+  EXPECT_EQ(CheckRingSize(kMaxRingNodes).value(), kMaxRingNodes);
 }
 
 TEST_F(SessionApi, SubmitRequiresARunningCluster) {

@@ -1,4 +1,4 @@
-#include "bat/scalar_reference.h"
+#include "tests/support/scalar_reference.h"
 
 #include <algorithm>
 #include <cstring>

@@ -171,8 +171,13 @@ void PrintMemory(const runtime::RingCluster& ring, uint32_t nodes) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
+  const Result<uint32_t> ring_size = runtime::CheckRingSize(flags.GetInt("nodes", 3));
+  if (!ring_size.ok()) {
+    std::fprintf(stderr, "--nodes: %s\n", ring_size.status().ToString().c_str());
+    return 2;
+  }
+  const uint32_t nodes = *ring_size;
   const double scale = flags.GetDouble("scale", 0.01);
-  const uint32_t nodes = static_cast<uint32_t>(flags.GetInt("nodes", 3));
   const size_t workers = static_cast<size_t>(flags.GetInt("workers", 4));
   const size_t max_rows = static_cast<size_t>(flags.GetInt("max_rows", 25));
   const uint64_t budget_mb = static_cast<uint64_t>(flags.GetInt("budget_mb", 0));
