@@ -169,6 +169,9 @@ int main(int argc, char** argv) {
 
     auto probe = RandomIntBat(par_rows, static_cast<int32_t>(par_rows / 4), 10);
     auto build = Reverse(RandomIntBat(par_rows / 4, static_cast<int32_t>(par_rows / 4), 11));
+    // The same probe fetched positionally: a dense-headed fragment covering
+    // its whole value domain, as in the SQL plans' leftjoin projections.
+    auto fetch_build = RandomIntBat(par_rows / 4 + 1, 1 << 20, 19);
     auto values = RandomIntBat(par_rows, 1 << 20, 12);
     auto gids = RandomIntBat(par_rows, 255, 13);
     auto sort_input = RandomIntBat(par_rows, 1 << 30, 15);
@@ -246,6 +249,14 @@ int main(int argc, char** argv) {
 
       harness.Run("par_hash_join" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
         auto out = Join(probe, build);
+        RepResult rep;
+        rep.items = static_cast<double>(par_rows);
+        rep.metrics["matches"] = out.ok() ? static_cast<double>((*out)->size()) : -1.0;
+        return rep;
+      });
+
+      harness.Run("par_fetch_join" + suffix, ParParams(par_rows, w, morsel_rows), [&] {
+        auto out = Join(probe, fetch_build);
         RepResult rep;
         rep.items = static_cast<double>(par_rows);
         rep.metrics["matches"] = out.ok() ? static_cast<double>((*out)->size()) : -1.0;

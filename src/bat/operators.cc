@@ -268,6 +268,94 @@ BatPtr HashJoinImpl(const Bat& l, const Bat& r) {
   return EmitJoin(l, r, li, ri);
 }
 
+/// Fetch-join bounds pass: pos[i] = keys[i] - seqbase when that lands in
+/// [0, rn), else FlatTable::kNone; returns the number of misses. The
+/// unsigned wrap folds both bounds into one compare and is exactly the hash
+/// join's int64 key equality against the dense head's values.
+template <typename T>
+size_t FetchPositions(const T* keys, size_t n, Oid seqbase, uint64_t rn, uint32_t* pos) {
+  const auto run = [&](size_t b, size_t e) {
+    size_t misses = 0;
+    for (size_t i = b; i < e; ++i) {
+      const uint64_t off = static_cast<uint64_t>(static_cast<int64_t>(keys[i])) - seqbase;
+      const bool hit = off < rn;
+      pos[i] = hit ? static_cast<uint32_t>(off) : FlatTable::kNone;
+      misses += hit ? 0 : 1;
+    }
+    return misses;
+  };
+  const MorselPlan plan = kernels::PlanMorsels(n);
+  if (!plan.parallel) return run(0, n);
+  std::vector<size_t> misses(plan.morsels);
+  kernels::ForEachMorsel(plan, n,
+                         [&](size_t m, size_t b, size_t e) { misses[m] = run(b, e); });
+  return std::accumulate(misses.begin(), misses.end(), size_t{0});
+}
+
+/// Positions first, first + 1, ..., first + n - 1.
+SelVec IotaSel(size_t first, size_t n) {
+  SelVec sel(n);
+  std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(first));
+  return sel;
+}
+
+/// MonetDB's fetch-join: r's head is the dense range [seqbase, seqbase+|r|),
+/// so the only r row matching l.tail[i] sits at position l.tail[i] - seqbase,
+/// and a value outside the range matches nothing — the row the inner join
+/// drops. O(|l|) with no build, and the tail gather keeps dictionary columns
+/// encoded. Output equals the hash join's: l order, HeadOrderedProps(l).
+BatPtr FetchJoinImpl(const Bat& l, const Bat& r) {
+  const size_t n = l.size();
+  const uint64_t rn = r.size();
+  const Oid seqbase = r.HeadSeqbase();
+  const Column& lt = *l.tail();
+  const auto emit = [&](ColumnPtr head, const SelVec& ri) {
+    return BatPtr(std::make_shared<Bat>(std::move(head),
+                                        kernels::Gather(*r.tail(), ri.data(), ri.size()),
+                                        HeadOrderedProps(l)));
+  };
+  if (lt.kind() == ColumnKind::kDense) {
+    // Dense probe: the hits are the contiguous run of l rows whose values
+    // fall in [seqbase, seqbase + rn).
+    const Oid s = static_cast<const DenseOidColumn&>(lt).seqbase();
+    size_t lo = 0, hi = 0;
+    if (s >= seqbase) {
+      hi = s - seqbase < rn ? std::min<uint64_t>(n, rn - (s - seqbase)) : 0;
+    } else {
+      lo = std::min<uint64_t>(n, seqbase - s);
+      hi = std::min<uint64_t>(n, lo + rn);
+    }
+    const SelVec ri = IotaSel(s + lo - seqbase, hi - lo);
+    if (lo == 0 && hi == n) return emit(l.head(), ri);
+    const SelVec li = IotaSel(lo, hi - lo);
+    return emit(kernels::Gather(*l.head(), li.data(), li.size()), ri);
+  }
+  SelVec pos(n);
+  size_t misses = 0;
+  switch (lt.type()) {
+    case ValType::kInt:
+    case ValType::kDate:
+      misses = FetchPositions(lt.FixedData<int32_t>().data, n, seqbase, rn, pos.data());
+      break;
+    case ValType::kLng:
+      misses = FetchPositions(lt.FixedData<int64_t>().data, n, seqbase, rn, pos.data());
+      break;
+    default:  // kOid
+      misses = FetchPositions(lt.FixedData<Oid>().data, n, seqbase, rn, pos.data());
+      break;
+  }
+  if (misses == 0) return emit(l.head(), pos);
+  SelVec li, ri;
+  li.reserve(n - misses);
+  ri.reserve(n - misses);
+  for (size_t i = 0; i < n; ++i) {
+    if (pos[i] == FlatTable::kNone) continue;
+    li.push_back(static_cast<uint32_t>(i));
+    ri.push_back(pos[i]);
+  }
+  return EmitJoin(l, r, li, ri);
+}
+
 Status CheckNumeric(const Bat& b, const char* op) {
   if (b.tail_type() == ValType::kStr) {
     return Status::InvalidArgument(std::string(op) + " on string tail");
@@ -352,13 +440,14 @@ Result<BatPtr> Slice(const BatPtr& b, size_t lo, size_t hi) {
     return Status::OutOfRange("slice [" + std::to_string(lo) + "," + std::to_string(hi) +
                               ") of " + std::to_string(b->size()));
   }
-  SelVec keep(hi - lo);
-  std::iota(keep.begin(), keep.end(), static_cast<uint32_t>(lo));
-  return FilterBySel(*b, keep);
+  return FilterBySel(*b, IotaSel(lo, hi - lo));
 }
 
 Result<BatPtr> Join(const BatPtr& l, const BatPtr& r) {
   DCY_RETURN_NOT_OK(CheckJoinable(l->tail_type(), r->head_type()));
+  if (r->HasDenseHead() && IsIntegerFamily(l->tail_type())) {
+    return FetchJoinImpl(*l, *r);
+  }
   if (l->props().tsorted && r->props().hsorted) {
     return MergeJoinImpl(*l, *r);
   }
@@ -366,8 +455,8 @@ Result<BatPtr> Join(const BatPtr& l, const BatPtr& r) {
 }
 
 Result<BatPtr> LeftJoin(const BatPtr& l, const BatPtr& r) {
-  // Our hash join probes l in order already; merge join also preserves l
-  // order for key-unique r.
+  // Every Join strategy emits in l order for a key-unique r: the fetch-join
+  // (the projections' case) and hash join walk l, merge join merges it.
   return Join(l, r);
 }
 

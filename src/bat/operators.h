@@ -30,12 +30,16 @@ Result<BatPtr> Slice(const BatPtr& b, size_t lo, size_t hi);
 // ---- joins -----------------------------------------------------------------
 
 /// join(l, r): { [l.head, r.tail] : l.tail == r.head } — the classic BAT
-/// equi-join. Picks merge join when both join columns are sorted, hash join
-/// otherwise (paper §3.1). Types of l.tail and r.head must match.
+/// equi-join. Picks a positional fetch-join when r's head is a dense oid
+/// range and l's tail is integer-family (position = l.tail - seqbase, values
+/// outside the range match nothing), else merge join when both join columns
+/// are sorted, else hash join (paper §3.1). Types of l.tail and r.head must
+/// match.
 Result<BatPtr> Join(const BatPtr& l, const BatPtr& r);
 
 /// leftjoin(l, r): like join but guarantees l's row order in the output
-/// (our hash join probes l in order, so this is join with order asserted).
+/// (every join strategy emits in l order for a key-unique r, so this is
+/// join with order asserted).
 Result<BatPtr> LeftJoin(const BatPtr& l, const BatPtr& r);
 
 /// semijoin(l, r): rows of l whose head appears in r's head.

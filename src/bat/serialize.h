@@ -78,4 +78,10 @@ Result<BatPtr> Deserialize(std::string_view buffer);
 /// CRC32 (IEEE, table-driven) over a byte range.
 uint32_t Crc32(const void* data, size_t n);
 
+/// Crc32 of any byte string that ends in the little-endian Crc32 of the
+/// bytes before it — every BAT frame and every delta frame — is this fixed
+/// residue of the IEEE polynomial. A sender needing the CRC of a whole
+/// frame it just encoded uses the constant instead of a second full pass.
+constexpr uint32_t kFrameCrcResidue = 0x2144DF1Cu;
+
 }  // namespace dcy::bat

@@ -16,6 +16,7 @@ void ReliableSender::Track(uint32_t opcode, const rdma::MetaBlob& meta,
   unacked_.push_back(Stored{opcode, meta, std::move(payload), seq, now});
   if (was_empty) {
     head_attempts_ = 0;
+    nack_pending_ = false;  // a NACK of an emptied window is moot
     next_retx_ = now + RetxDelay();
   }
 }
@@ -47,30 +48,35 @@ void ReliableSender::OnNack(uint32_t epoch, uint64_t seq, SimTime now) {
     unacked_.pop_front();  // implicitly acknowledged by the NACK point
     head_attempts_ = 0;
   }
-  if (!unacked_.empty()) next_retx_ = now;  // retransmit on the next pump
+  if (!unacked_.empty()) {
+    next_retx_ = now;  // retransmit on the next pump
+    nack_pending_ = true;
+  }
 }
 
-const std::deque<ReliableSender::Stored>* ReliableSender::CollectRetransmits(
-    SimTime now) {
-  if (unacked_.empty() || now < next_retx_) return nullptr;
+size_t ReliableSender::CollectRetransmits(SimTime now) {
+  if (unacked_.empty() || now < next_retx_) return 0;
   if (head_attempts_ + 1 >= opts_.max_attempts) {
     // The head frame is not getting through; go-back-N cannot skip it
     // without leaving the receiver gapped forever, so flap the whole link.
     Reset(now);
-    return nullptr;
+    return 0;
   }
   ++head_attempts_;
   ++backoff_;
-  metrics_.retransmits += unacked_.size();
-  for (Stored& st : unacked_) st.retransmitted = true;
+  const size_t due = nack_pending_ ? unacked_.size() : 1;
+  nack_pending_ = false;
+  metrics_.retransmits += due;
+  for (size_t i = 0; i < due; ++i) unacked_[i].retransmitted = true;
   next_retx_ = now + RetxDelay();
-  return &unacked_;
+  return due;
 }
 
 void ReliableSender::Reset(SimTime now) {
   metrics_.frames_abandoned += unacked_.size();
   ++metrics_.link_resets;
   unacked_.clear();
+  nack_pending_ = false;
   ++epoch_;
   next_seq_ = 0;
   head_attempts_ = 0;

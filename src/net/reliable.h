@@ -8,8 +8,9 @@
 // seq, payload_crc, magic}; the receiver verifies the CRC, delivers
 // in-order frames, and answers gaps or corruption with a NACK naming the
 // sequence it expected. The sender keeps un-ACKed frames in a window and
-// retransmits from the NACKed (or timed-out) frame onward — classic
-// go-back-N, which preserves the ring's FIFO contract.
+// retransmits from the NACKed frame onward — classic go-back-N, which
+// preserves the ring's FIFO contract — or, when the timer expires without
+// a NACK, only the oldest frame.
 //
 // The retransmit timeout adapts to the link (RFC 6298): the sender keeps a
 // smoothed RTT and RTT variance from cumulative ACKs, sampling only frames
@@ -56,7 +57,8 @@ struct FrameHeader {
   uint32_t epoch = 0;
   uint64_t seq = 0;
   /// CRC32 over application header bytes XOR CRC32 over the payload bytes
-  /// (0 for payload-less frames). The payload half is computed once at load
+  /// (0 for payload-less frames). The payload half is set once at load —
+  /// for a frame that ends in its own CRC it is bat::kFrameCrcResidue —
   /// and forwarded hop to hop; the receiver recomputes it for verification.
   uint32_t payload_crc = 0;
   uint32_t magic = kFrameMagic;
@@ -198,10 +200,7 @@ class ReliableSender {
   /// retransmit immediately.
   void OnNack(uint32_t epoch, uint64_t seq, SimTime now);
 
-  /// A frame to retransmit per entry, in order, or nullptr when nothing is
-  /// due. On the head frame exhausting its attempt budget the whole window
-  /// is abandoned with a link reset (go-back-N cannot skip one frame
-  /// without leaving the receiver gapped forever).
+  /// One un-ACKed frame in the retransmit window.
   struct Stored {
     uint32_t opcode = 0;
     rdma::MetaBlob meta;
@@ -210,7 +209,19 @@ class ReliableSender {
     SimTime sent_at = 0;
     bool retransmitted = false;
   };
-  const std::deque<Stored>* CollectRetransmits(SimTime now);
+  /// How many leading window() frames are due for re-sending now (0 when
+  /// none). After a NACK the whole window goes again from the NACKed seq:
+  /// the receiver drops everything past a gap (go-back-N). A timeout
+  /// re-sends only the head: nothing shows the frames behind it were lost
+  /// (a gap would have drawn a NACK), and a window re-sent on every timeout
+  /// floods a receiver that is merely slow. On the head frame exhausting
+  /// its attempt budget the whole window is abandoned with a link reset
+  /// (go-back-N cannot skip one frame without leaving the receiver gapped
+  /// forever).
+  size_t CollectRetransmits(SimTime now);
+
+  /// The un-ACKed frames, oldest (lowest seq) first.
+  const std::deque<Stored>& window() const { return unacked_; }
 
   /// Bumps the epoch, restarts seq at 0, abandons the window. Used on node
   /// restart, ring re-splice, and retransmit exhaustion. The RTT estimate
@@ -248,6 +259,8 @@ class ReliableSender {
   /// the doubled timeout stays until a fresh frame is acknowledged.
   uint32_t backoff_ = 0;
   SimTime next_retx_ = 0;
+  /// A NACK asked for the window; the next collection re-sends all of it.
+  bool nack_pending_ = false;
   bool have_rtt_ = false;
   SimTime srtt_ = 0;
   SimTime rttvar_ = 0;

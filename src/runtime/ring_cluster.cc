@@ -585,7 +585,9 @@ class RingCluster::Node final : public core::DcEnv {
       wire_.dict_columns += cs.dict_columns;
       wire_.for_columns += cs.for_columns;
       wire_.plain_columns += cs.plain_columns;
-      payload_crc = bat::Crc32(frame->data(), frame->size());
+      // The frame ends in its own CRC footer, so its whole-frame CRC is
+      // the fixed residue: no second pass over the payload.
+      payload_crc = bat::kFrameCrcResidue;
       payload = std::move(frame);
     } else {
       payload = current_payload_;
@@ -689,11 +691,12 @@ class RingCluster::Node final : public core::DcEnv {
   void PublishDelta(const write::DeltaPtr& d) {
     auto frame = frame_pool_.Acquire(write::EncodedDeltaSize(*d));
     write::SerializeDeltaInto(*d, frame.get());
-    const uint32_t payload_crc = bat::Crc32(frame->data(), frame->size());
     rdma::Buffer payload = std::move(frame);
+    // A delta frame ends in its own CRC too: stamp the residue.
     Post([this, fragment = d->fragment, version = d->version,
-          payload = std::move(payload), payload_crc] {
-      SendDeltaMsg(fragment, version, /*origin=*/id_, /*hops=*/0, payload, payload_crc);
+          payload = std::move(payload)] {
+      SendDeltaMsg(fragment, version, /*origin=*/id_, /*hops=*/0, payload,
+                   bat::kFrameCrcResidue);
     });
   }
 
@@ -974,15 +977,19 @@ class RingCluster::Node final : public core::DcEnv {
     }
   }
 
-  /// Re-sends everything due in a link's retransmit window.
+  /// Re-sends whatever is due in each link's retransmit window.
   void PumpRetransmits(SimTime now) {
-    if (const auto* w = data_out_.CollectRetransmits(now)) {
+    if (const size_t due = data_out_.CollectRetransmits(now)) {
       Node* succ = successor_.load(std::memory_order_acquire);
-      for (const auto& s : *w) succ->data_in()->Send(s.opcode, s.meta, s.payload, id_);
+      for (size_t i = 0; i < due; ++i) {
+        const auto& s = data_out_.window()[i];
+        succ->data_in()->Send(s.opcode, s.meta, s.payload, id_);
+      }
     }
-    if (const auto* w = req_out_.CollectRetransmits(now)) {
+    if (const size_t due = req_out_.CollectRetransmits(now)) {
       Node* pred = predecessor_.load(std::memory_order_acquire);
-      for (const auto& s : *w) {
+      for (size_t i = 0; i < due; ++i) {
+        const auto& s = req_out_.window()[i];
         pred->request_in()->Send(s.opcode, s.meta, s.payload, id_);
       }
     }

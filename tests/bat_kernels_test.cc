@@ -865,5 +865,198 @@ TEST_P(EncodedColumnTest, ForDecodedColumnsMatchScalar) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EncodedColumnTest, ::testing::Values(1, 2));
 
+// ---- fetch-join differential sweeps ------------------------------------------
+//
+// A join whose right operand has a dense head and whose probe tail is
+// integer-family is a positional fetch-join (the plan builder's
+// leftjoin(pos, col) projections). It must return exactly what the scalar
+// hash/merge oracle returns — probe values outside the dense range drop out —
+// across worker counts, with the SIMD dispatch on and off, and with the
+// right tail kept dictionary-encoded.
+
+/// Right-operand tails the sweep fetches from, built over `rn` rows.
+enum class FetchTail { kInt, kLng, kDbl, kStr, kDict };
+
+const char* FetchTailName(FetchTail t) {
+  switch (t) {
+    case FetchTail::kInt: return "int";
+    case FetchTail::kLng: return "lng";
+    case FetchTail::kDbl: return "dbl";
+    case FetchTail::kStr: return "str";
+    case FetchTail::kDict: return "dict";
+  }
+  return "?";
+}
+
+/// `plain` is the scalar oracle's operand; `fetched` is what Join sees (the
+/// wire-decoded twin for kDict, whose tail is then a DictStrColumn).
+struct FetchSide {
+  BatPtr plain;
+  BatPtr fetched;
+};
+
+FetchSide FetchRight(FetchTail t, size_t rn, Oid seqbase, Rng* rng) {
+  ValType type = ValType::kStr;
+  switch (t) {
+    case FetchTail::kInt: type = ValType::kInt; break;
+    case FetchTail::kLng: type = ValType::kLng; break;
+    case FetchTail::kDbl: type = ValType::kDbl; break;
+    case FetchTail::kStr:
+    case FetchTail::kDict: break;
+  }
+  // Dup-heavy strings always clear the dictionary bar on the wire.
+  const Shape shape = t == FetchTail::kDict ? Shape::kDupHeavy : Shape::kRandom;
+  BatPtr plain = Bat::MakeColumn(RandomColumn(type, shape, rn, rng), seqbase);
+  if (t != FetchTail::kDict) return {plain, plain};
+  return {plain, EncodeViaWire(plain)};
+}
+
+/// Probe BAT of `n` rows whose tail addresses r = [seqbase, seqbase + rn).
+/// With `misses`, about a third of the rows fall outside: below the range
+/// (negative values for signed types) or at/after its end.
+BatPtr FetchProbe(ValType t, size_t n, Oid seqbase, size_t rn, bool misses, Rng* rng) {
+  ColumnBuilder b(t);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t k = rng->UniformU64(0, 2);
+    int64_t v;
+    if (rn > 0 && (!misses || k == 0)) {
+      v = static_cast<int64_t>(seqbase + rng->UniformU64(0, rn - 1));
+    } else if (k == 1 && t != ValType::kOid) {
+      v = -1 - static_cast<int64_t>(rng->UniformU64(0, 5));
+    } else if (k == 1 && seqbase > 0) {
+      v = static_cast<int64_t>(rng->UniformU64(0, seqbase - 1));
+    } else {
+      v = static_cast<int64_t>(seqbase + rn + rng->UniformU64(0, 5));
+    }
+    b.AppendInt64(v);
+  }
+  // A materialized, unsorted head half the time: the fetch path reuses or
+  // gathers whatever head the probe carries.
+  ColumnPtr head = MakeDenseOid(rng->UniformU64(0, 100), n);
+  if (rng->UniformU64(0, 1) == 1) {
+    std::vector<Oid> ids(n);
+    for (auto& x : ids) x = rng->UniformU64(0, 1 << 20);
+    head = MakeOidColumn(std::move(ids));
+  }
+  ColumnPtr tail = b.Finish();
+  const auto props = Bat::ScanProperties(*head, *tail);
+  return std::make_shared<Bat>(std::move(head), std::move(tail), props);
+}
+
+/// LeftJoin must be Join: same layouts, properties and rows.
+void ExpectJoinEqualsLeftJoin(const BatPtr& l, const BatPtr& r, const std::string& ctx) {
+  auto j = Join(l, r);
+  auto lj = LeftJoin(l, r);
+  ASSERT_TRUE(j.ok() && lj.ok()) << ctx;
+  EXPECT_EQ((*j)->head()->kind(), (*lj)->head()->kind()) << ctx;
+  EXPECT_EQ((*j)->tail()->kind(), (*lj)->tail()->kind()) << ctx;
+  EXPECT_EQ((*j)->props().hsorted, (*lj)->props().hsorted) << ctx;
+  EXPECT_EQ((*j)->props().tsorted, (*lj)->props().tsorted) << ctx;
+  ExpectSameBat(*lj, *j, ctx + " leftjoin");
+}
+
+class FetchJoinTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FetchJoinTest, PositionalProbesMatchScalar) {
+  size_t dict_cases = 0;
+  for (size_t workers : kParallelWorkerCounts) {
+    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
+    for (bool force_scalar : {false, true}) {
+      enc::ScopedForceScalar forced(force_scalar);
+      Rng rng(GetParam() * 92821ULL + workers * 2 + force_scalar);
+      for (size_t n : {size_t{0}, size_t{90}, size_t{127}, size_t{128}, size_t{129},
+                       size_t{1000}}) {
+        for (ValType pt : {ValType::kOid, ValType::kInt, ValType::kLng, ValType::kDate}) {
+          for (FetchTail ft : {FetchTail::kInt, FetchTail::kLng, FetchTail::kDbl,
+                               FetchTail::kStr, FetchTail::kDict}) {
+            for (Oid seqbase : {Oid{0}, Oid{1000}}) {
+              for (bool misses : {false, true}) {
+                // Empty r at times, else a fragment near the probe's size.
+                const size_t rn =
+                    rng.UniformU64(0, 7) == 0 ? 0 : 40 + rng.UniformU64(0, n);
+                const std::string ctx =
+                    std::string("fetch w") + std::to_string(workers) +
+                    (force_scalar ? " scalar" : " simd") + " n" + std::to_string(n) +
+                    " rn" + std::to_string(rn) + " " + ValTypeName(pt) + "->" +
+                    FetchTailName(ft) + " seq" + std::to_string(seqbase) +
+                    (misses ? " misses" : " hits");
+                const FetchSide r = FetchRight(ft, rn, seqbase, &rng);
+                ASSERT_TRUE(r.fetched->HasDenseHead()) << ctx;
+                ASSERT_EQ(r.fetched->HeadSeqbase(), seqbase) << ctx;
+                const BatPtr l = FetchProbe(pt, n, seqbase, rn, misses, &rng);
+                ExpectSameResult(Join(l, r.fetched), scalar::Join(l, r.plain), ctx);
+                ExpectJoinEqualsLeftJoin(l, r.fetched, ctx);
+                if (r.fetched->tail()->kind() == ColumnKind::kDict) {
+                  ++dict_cases;
+                  auto out = Join(l, r.fetched);
+                  ASSERT_TRUE(out.ok()) << ctx;
+                  EXPECT_EQ((*out)->tail()->kind(), ColumnKind::kDict) << ctx;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(dict_cases, 0u);  // the dictionary tail was really exercised
+}
+
+TEST_P(FetchJoinTest, DenseProbeTailsMatchScalar) {
+  // A dense probe tail addresses one contiguous run of r: below, straddling
+  // either end, inside, covering, and past the dense range.
+  for (size_t workers : kParallelWorkerCounts) {
+    exec::ScopedExecPolicy scoped(TinyMorselPolicy(workers));
+    Rng rng(GetParam() * 31337ULL + workers);
+    for (Oid seqbase : {Oid{0}, Oid{500}}) {
+      for (size_t rn : {size_t{0}, size_t{1}, size_t{200}}) {
+        for (FetchTail ft : {FetchTail::kLng, FetchTail::kStr, FetchTail::kDict}) {
+          const FetchSide r = FetchRight(ft, rn, seqbase, &rng);
+          for (size_t n : {size_t{0}, size_t{1}, size_t{127}, size_t{129}, size_t{300}}) {
+            for (int64_t shift : {-400, -129, -1, 0, 1, 50, 199, 200, 1000}) {
+              const int64_t start = static_cast<int64_t>(seqbase) + shift;
+              if (start < 0) continue;
+              const std::string ctx = std::string("dense w") + std::to_string(workers) +
+                                      " seq" + std::to_string(seqbase) + " rn" +
+                                      std::to_string(rn) + " " + FetchTailName(ft) +
+                                      " n" + std::to_string(n) + " start" +
+                                      std::to_string(start);
+              const BatPtr l = std::make_shared<Bat>(
+                  MakeDenseOid(rng.UniformU64(0, 100), n),
+                  MakeDenseOid(static_cast<Oid>(start), n),
+                  Bat::Properties{true, true, true, true});
+              ExpectSameResult(Join(l, r.fetched), scalar::Join(l, r.plain), ctx);
+              ExpectJoinEqualsLeftJoin(l, r.fetched, ctx);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FetchJoinTest, FullHitReusesTheProbeHeadAndKeepsDictEncoding) {
+  std::vector<std::string> groups;
+  for (int i = 0; i < 64; ++i) groups.push_back("g" + std::to_string(i % 4));
+  const BatPtr r = EncodeViaWire(Bat::MakeColumn(MakeStrColumn(groups), /*seqbase=*/10));
+  ASSERT_EQ(r->tail()->kind(), ColumnKind::kDict);
+  const BatPtr l = Bat::MakeColumn(MakeOidColumn({12, 10, 73, 40}));
+  auto out = Join(l, r);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ((*out)->head(), l->head());  // every row hit: the head is shared
+  ASSERT_EQ((*out)->tail()->kind(), ColumnKind::kDict);
+  EXPECT_EQ((*out)->tail()->GetString(0), "g2");
+  EXPECT_EQ((*out)->tail()->GetString(3), "g2");
+  EXPECT_EQ((*out)->tail()->GetString(2), "g3");
+  // One miss (oid 74 is past the 64-row range): the head is gathered.
+  auto partial = Join(Bat::MakeColumn(MakeOidColumn({12, 74, 11})), r);
+  ASSERT_TRUE(partial.ok());
+  ASSERT_EQ((*partial)->size(), 2u);
+  EXPECT_EQ((*partial)->head()->GetInt64(1), 2);
+  EXPECT_EQ((*partial)->tail()->GetString(1), "g1");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FetchJoinTest, ::testing::Values(1, 2));
+
 }  // namespace
 }  // namespace dcy::bat

@@ -3,9 +3,10 @@
 //     firing budgets, link matching.
 //   - rdma::Channel under injected faults: drop, duplicate, delay, corrupt.
 //   - net::ReliableSender / ReliableReceiver: sequencing, cumulative ACK,
-//     NACK-triggered go-back-N retransmission, backoff, epoch resets, the
-//     RTT-adaptive retransmit timeout (Karn's rule), and the receiver's
-//     duplicate/stale drop before payload verification.
+//     NACK-triggered go-back-N retransmission, head-only resends on
+//     timeout, backoff, epoch resets, the RTT-adaptive retransmit timeout
+//     (Karn's rule), and the receiver's duplicate/stale drop before
+//     payload verification.
 //   - bat decode fuzz: every single-byte flip and every truncation of a
 //     serialized BAT frame must surface Status::Corruption — never crash.
 #include <gtest/gtest.h>
@@ -279,12 +280,72 @@ TEST(ReliableSenderTest, NackRetransmitsFromTheExpectedSeq) {
   }
   // Peer expected seq 1: seq 0 implicitly ACKed, 1..2 due immediately.
   s.OnNack(s.epoch(), 1, /*now=*/100);
-  const auto* retx = s.CollectRetransmits(100);
-  ASSERT_NE(retx, nullptr);
-  ASSERT_EQ(retx->size(), 2u);
-  EXPECT_EQ((*retx)[0].seq, 1u);
-  EXPECT_EQ((*retx)[1].seq, 2u);
+  ASSERT_EQ(s.CollectRetransmits(100), 2u);
+  EXPECT_EQ(s.window()[0].seq, 1u);
+  EXPECT_EQ(s.window()[1].seq, 2u);
   EXPECT_EQ(s.metrics().retransmits, 2u);
+}
+
+/// Tracks `n` payload-less frames sent at time 0.
+void SendFrames(net::ReliableSender* s, int n) {
+  for (int i = 0; i < n; ++i) {
+    const auto h = s->NextHeader(0);
+    s->Track(1, rdma::MetaBlob("m"), nullptr, h.seq, 0);
+  }
+}
+
+TEST(ReliableSenderTest, TimeoutResendsOnlyTheWindowHead) {
+  net::ReliableSender s;
+  s.Init(0, net::kChData, FastLink(), 1);
+  SendFrames(&s, 4);
+  // No NACK arrived: nothing says seqs 1..3 were lost, so only seq 0 goes.
+  ASSERT_EQ(s.CollectRetransmits(FromMillis(2)), 1u);
+  EXPECT_EQ(s.window()[0].seq, 0u);
+  EXPECT_TRUE(s.window()[0].retransmitted);
+  EXPECT_FALSE(s.window()[1].retransmitted);
+  EXPECT_EQ(s.metrics().retransmits, 1u);
+  EXPECT_EQ(s.window_size(), 4u);
+  // The next timeout again re-sends the head alone.
+  EXPECT_EQ(s.CollectRetransmits(FromMillis(10)), 1u);
+  EXPECT_EQ(s.metrics().retransmits, 2u);
+}
+
+TEST(ReliableSenderTest, NackResendsTheWindowAndALaterTimeoutOnlyTheHead) {
+  net::ReliableSender s;
+  s.Init(0, net::kChData, FastLink(), 1);
+  SendFrames(&s, 5);
+  // The peer expected seq 2: it dropped everything from there on.
+  s.OnNack(s.epoch(), 2, /*now=*/FromMicros(500));
+  ASSERT_EQ(s.CollectRetransmits(FromMicros(500)), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(s.window()[i].seq, 2u + i);
+    EXPECT_TRUE(s.window()[i].retransmitted);
+  }
+  EXPECT_EQ(s.metrics().retransmits, 3u);
+  // The NACK is spent: a timeout with no new NACK re-sends the head only.
+  EXPECT_EQ(s.CollectRetransmits(FromMillis(10)), 1u);
+  EXPECT_EQ(s.window()[0].seq, 2u);
+  EXPECT_EQ(s.metrics().retransmits, 4u);
+}
+
+TEST(ReliableSenderTest, HeadOnlyTimeoutsStillResetTheLinkAtMaxAttempts) {
+  net::ReliableSender s;
+  s.Init(0, net::kChData, FastLink(), 1);  // max_attempts = 3
+  SendFrames(&s, 3);
+  const uint32_t epoch0 = s.epoch();
+  SimTime now = 0;
+  std::vector<size_t> resent;
+  while (s.epoch() == epoch0 && resent.size() < 10) {
+    now += FromMillis(50);
+    resent.push_back(s.CollectRetransmits(now));
+  }
+  // Two head-only attempts, then the third timeout abandons the window.
+  EXPECT_EQ(resent, (std::vector<size_t>{1, 1, 0}));
+  EXPECT_EQ(s.epoch(), epoch0 + 1);
+  EXPECT_EQ(s.window_size(), 0u);
+  EXPECT_EQ(s.metrics().retransmits, 2u);
+  EXPECT_EQ(s.metrics().frames_abandoned, 3u);
+  EXPECT_EQ(s.metrics().link_resets, 1u);
 }
 
 TEST(ReliableSenderTest, RetransmitWaitsOutTheBackoff) {
@@ -293,8 +354,8 @@ TEST(ReliableSenderTest, RetransmitWaitsOutTheBackoff) {
   const auto h = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, /*now=*/0);
   // Unacked but the (1ms) timer has not expired yet.
-  EXPECT_EQ(s.CollectRetransmits(FromMicros(100)), nullptr);
-  EXPECT_NE(s.CollectRetransmits(FromMillis(2)), nullptr);
+  EXPECT_EQ(s.CollectRetransmits(FromMicros(100)), 0u);
+  EXPECT_NE(s.CollectRetransmits(FromMillis(2)), 0u);
 }
 
 TEST(ReliableSenderTest, ExhaustedAttemptsResetTheLink) {
@@ -359,10 +420,10 @@ TEST(ReliableSenderTest, SlowAcksRaiseTheTimeoutAboveTheInitialBackoff) {
   // A timer at the old fixed backoff no longer fires on a merely slow ACK...
   const auto h = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, now);
-  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(1)), nullptr);
-  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(9)), nullptr);
+  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(1)), 0u);
+  EXPECT_EQ(s.CollectRetransmits(now + FromMillis(9)), 0u);
   // ...but a frame that is really late still goes out again.
-  EXPECT_NE(s.CollectRetransmits(now + s.rto()), nullptr);
+  EXPECT_NE(s.CollectRetransmits(now + s.rto()), 0u);
   EXPECT_EQ(s.metrics().retransmits, 1u);
 }
 
@@ -376,7 +437,7 @@ TEST(ReliableSenderTest, AckOfARetransmittedFrameLeavesTheEstimate) {
   // so a (very late) ACK of it must not feed the estimator.
   const auto h = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, FromMillis(10));
-  ASSERT_NE(s.CollectRetransmits(FromMillis(50)), nullptr);
+  ASSERT_NE(s.CollectRetransmits(FromMillis(50)), 0u);
   s.OnAck(s.epoch(), h.seq, FromMillis(90));
   EXPECT_EQ(s.window_size(), 0u);
   EXPECT_EQ(s.srtt(), srtt);
@@ -385,15 +446,15 @@ TEST(ReliableSenderTest, AckOfARetransmittedFrameLeavesTheEstimate) {
   // shows the peer is back within the estimate.
   const auto h2 = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h2.seq, FromMillis(100));
-  EXPECT_EQ(s.CollectRetransmits(FromMillis(100) + rto + 1), nullptr);
+  EXPECT_EQ(s.CollectRetransmits(FromMillis(100) + rto + 1), 0u);
   // A frame sent after the retransmission is unambiguous again, and its
   // sample ends the backoff.
   s.OnAck(s.epoch(), h2.seq, FromMillis(108));
   EXPECT_NE(s.srtt(), srtt);
   const auto h3 = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h3.seq, FromMillis(200));
-  EXPECT_EQ(s.CollectRetransmits(FromMillis(200) + s.rto() - 1), nullptr);
-  EXPECT_NE(s.CollectRetransmits(FromMillis(200) + s.rto()), nullptr);
+  EXPECT_EQ(s.CollectRetransmits(FromMillis(200) + s.rto() - 1), 0u);
+  EXPECT_NE(s.CollectRetransmits(FromMillis(200) + s.rto()), 0u);
 }
 
 TEST(ReliableSenderTest, AckRetiringARetransmittedHeadSamplesOnlyTheNewestFrame) {
@@ -401,7 +462,7 @@ TEST(ReliableSenderTest, AckRetiringARetransmittedHeadSamplesOnlyTheNewestFrame)
   s.Init(0, net::kChData, AdaptiveLink(), 1);
   const auto h0 = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h0.seq, 0);
-  ASSERT_NE(s.CollectRetransmits(FromMillis(5)), nullptr);  // h0 re-sent
+  ASSERT_NE(s.CollectRetransmits(FromMillis(5)), 0u);  // h0 re-sent
   const auto h1 = s.NextHeader(0);
   s.Track(1, rdma::MetaBlob("m"), nullptr, h1.seq, FromMillis(6));
   // One cumulative ACK retires both; the sample is the fresh h1's 3 ms.
@@ -430,9 +491,9 @@ TEST(ReliableSenderTest, TimeoutStaysWithinTheBackoffBounds) {
   const auto h = slow.NextHeader(0);
   slow.Track(1, rdma::MetaBlob("m"), nullptr, h.seq, now);
   for (int attempt = 0; attempt < 3; ++attempt) {
-    EXPECT_EQ(slow.CollectRetransmits(now + o.max_backoff - 1), nullptr);
+    EXPECT_EQ(slow.CollectRetransmits(now + o.max_backoff - 1), 0u);
     now += o.max_backoff;
-    ASSERT_NE(slow.CollectRetransmits(now), nullptr);
+    ASSERT_NE(slow.CollectRetransmits(now), 0u);
   }
 }
 
@@ -651,11 +712,12 @@ TEST(ReliableLoopTest, LossyLinkConvergesViaNackAndRetransmit) {
   }
   for (int round = 0; round < 20 && delivered.size() < 6; ++round) {
     now += FromMillis(5);
-    const auto* retx = s.CollectRetransmits(now);
-    if (retx == nullptr) continue;
+    const size_t due = s.CollectRetransmits(now);
+    if (due == 0) continue;
     uint64_t acked = 0;
     bool have_ack = false;
-    for (const auto& st : *retx) {
+    for (size_t i = 0; i < due; ++i) {
+      const auto& st = s.window()[i];
       const auto out = r.OnFrame(Frame(0, s.epoch(), st.seq), true);
       if (out.verdict == net::ReliableReceiver::Verdict::kDeliver) {
         delivered.push_back(st.seq);

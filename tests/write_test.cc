@@ -14,6 +14,10 @@
 #include <vector>
 
 #include "bat/bat.h"
+#include "bat/encoding.h"
+#include "bat/serialize.h"
+#include "net/reliable.h"
+#include "rdma/fault.h"
 #include "runtime/ring_cluster.h"
 #include "runtime/session.h"
 #include "write/delta.h"
@@ -108,6 +112,83 @@ TEST(DeltaWire, EveryTruncationIsCorruption) {
     auto decoded = write::DeserializeDelta(std::string_view(frame).substr(0, len));
     ASSERT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded cleanly";
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hop CRC residue: senders stamp bat::kFrameCrcResidue as the payload CRC of
+// every BAT and delta frame they encode, instead of a second CRC pass.
+// ---------------------------------------------------------------------------
+
+/// The hop check the ring's receivers run on a data or delta frame: header
+/// CRC ^ payload CRC ^ envelope CRC must equal the stamped payload_crc.
+bool HopCheckPasses(uint32_t header_crc, const std::string& payload,
+                    const net::FrameHeader& h) {
+  return (header_crc ^ bat::Crc32(payload.data(), payload.size()) ^
+          net::EnvelopeCrc(h)) == h.payload_crc;
+}
+
+/// Asserts the residue is the frame's CRC, that the frame stamped with it
+/// passes the receiver check, and that every single-byte flip fails it.
+void ExpectResidueGuards(const std::string& frame, const std::string& ctx) {
+  ASSERT_EQ(bat::Crc32(frame.data(), frame.size()), bat::kFrameCrcResidue) << ctx;
+  net::ReliableSender sender;
+  sender.Init(/*self=*/1, net::kChData, net::ReliableOptions{}, /*seed=*/5);
+  const uint32_t header_crc = 0x5EEDC0DEu;  // stands in for HeaderCrc(bat header)
+  const net::FrameHeader h = sender.NextHeader(header_crc ^ bat::kFrameCrcResidue);
+  ASSERT_TRUE(HopCheckPasses(header_crc, frame, h)) << ctx;
+  for (size_t i = 0; i < frame.size(); ++i) {
+    std::string flipped = frame;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x5A);
+    ASSERT_FALSE(HopCheckPasses(header_crc, flipped, h)) << ctx << " flip at byte " << i;
+  }
+}
+
+TEST(FrameCrcResidue, HoldsForEveryBatFrameLayout) {
+  std::vector<std::string> dup_strs;
+  std::vector<int64_t> sorted;
+  for (int i = 0; i < 200; ++i) {
+    dup_strs.push_back("grp-" + std::to_string(i % 5));
+    sorted.push_back(1000 + 3 * i);
+  }
+  auto sorted_bat = bat::Bat::MakeColumn(bat::MakeLngColumn(sorted));
+  sorted_bat->tail()->IsSorted();  // memoize: the FOR codec trigger
+  const std::vector<std::pair<std::string, bat::BatPtr>> bats = {
+      {"int", bat::Bat::MakeColumn(bat::MakeIntColumn({7, -3, 42, 0}))},
+      {"empty", bat::Bat::MakeColumn(bat::MakeLngColumn({}))},
+      {"dict", bat::Bat::MakeColumn(bat::MakeStrColumn(dup_strs))},
+      {"for", sorted_bat},
+      {"dbl", bat::Bat::MakeColumn(bat::MakeDblColumn({1.5, -2.25}), /*seqbase=*/40)},
+  };
+  for (bool compress : {true, false}) {
+    bat::enc::ScopedWireCompression scoped(compress);
+    for (const auto& [name, b] : bats) {
+      std::string frame;
+      bat::SerializeInto(*b, &frame);
+      ExpectResidueGuards(frame, name + (compress ? " compressed" : " plain"));
+    }
+  }
+}
+
+TEST(FrameCrcResidue, HoldsForDeltaFrames) {
+  write::DeltaBat del;
+  del.fragment = 3;
+  del.version = 9;
+  del.inserts = bat::MakeLngColumn({});
+  del.insert_row_ids = Ids({});
+  del.deletes = Ids({0, 2, 4});
+  write::DeltaBat str;
+  str.fragment = 11;
+  str.version = 4;
+  str.inserts = bat::MakeStrColumn({"alpha", "", "a longer string payload"});
+  str.insert_row_ids = Ids({100, 101, 102});
+  str.deletes = Ids({});
+  const std::vector<std::pair<std::string, write::DeltaBat>> deltas = {
+      {"mixed", FuzzTargetDelta()}, {"delete-only", del}, {"string", str}};
+  for (const auto& [name, d] : deltas) {
+    std::string frame;
+    write::SerializeDeltaInto(d, &frame);
+    ExpectResidueGuards(frame, name);
   }
 }
 
@@ -383,6 +464,7 @@ class WriteRing : public ::testing::Test {
     return pred();
   }
 
+  std::unique_ptr<rdma::FaultInjector> fault;  ///< before cluster: outlives it
   std::unique_ptr<runtime::RingCluster> cluster;
 };
 
@@ -412,6 +494,30 @@ TEST_F(WriteRing, InsertIsVisibleToSubsequentReadsAndCirculates) {
   EXPECT_TRUE(WaitUntil(
       [&] { return cluster->Writes().delta_frames_forwarded >= 1; },
       milliseconds(3000)));
+}
+
+TEST_F(WriteRing, CorruptedHopPayloadsAreCaughtAndWritesStillCirculate) {
+  // Bit flips in data-channel payloads (BAT and delta frames alike) must
+  // still fail the receivers' hop check now that senders stamp the CRC
+  // residue instead of hashing the frame: caught, re-sent, never applied.
+  fault = std::make_unique<rdma::FaultInjector>(0x5EED);
+  rdma::FaultLink data;
+  data.channel = net::kChData;
+  fault->AddRule(rdma::FaultInjector::Corrupt(data, 0.2));
+  auto opts = FastOptions();
+  opts.compaction.enable = false;
+  opts.fault = fault.get();
+  StartCluster(opts);
+
+  ASSERT_TRUE(Run("insert into u values (4, 40)").ok());
+  EXPECT_EQ(SelectV(), (std::multiset<int64_t>{10, 20, 30, 40}));
+  EXPECT_TRUE(WaitUntil(
+      [&] { return cluster->Writes().delta_frames_forwarded >= 2; },
+      milliseconds(3000)));
+  EXPECT_EQ(SelectV(), (std::multiset<int64_t>{10, 20, 30, 40}));
+  EXPECT_GT(fault->counters().corrupted.load(), 0u);
+  EXPECT_GT(cluster->Resilience().frames_corrupted, 0u);
+  EXPECT_EQ(cluster->Writes().delta_decode_failures, 0u);
 }
 
 TEST_F(WriteRing, DeleteRemovesMatchingRows) {
