@@ -113,8 +113,8 @@ Result<Program> DcOptimize(const Program& program, const DcOptimizerOptions& opt
   return out;
 }
 
-std::string PlanCacheKey(const std::string& text, bool optimize,
-                         const DcOptimizerOptions& options, const char* dialect) {
+std::string PlanCacheKey(const std::string& text, const DcOptimizerOptions& options,
+                         const char* dialect) {
   uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
   auto mix = [&h](uint8_t byte) {
     h ^= byte;
@@ -123,7 +123,6 @@ std::string PlanCacheKey(const std::string& text, bool optimize,
   for (const char* d = dialect; *d != '\0'; ++d) mix(static_cast<uint8_t>(*d));
   mix(0);  // dialect/text separator: ("ab", "c") never collides with ("a", "bc")
   for (char c : text) mix(static_cast<uint8_t>(c));
-  mix(optimize ? 1 : 0);
   mix(static_cast<uint8_t>(options.unpin_placement));
   char buf[80];
   std::snprintf(buf, sizeof(buf), "%s-%zu-%016llx", dialect, text.size(),

@@ -28,7 +28,7 @@ Result<mal::Program> DcOptimize(const mal::Program& program,
                                 const DcOptimizerOptions& options = {});
 
 /// \brief Stable cache key for a prepared plan: identifies the
-/// (text, dialect, optimize, optimizer-options) tuple that fully determines
+/// (text, dialect, optimizer-options) tuple that fully determines
 /// the compiled program, so runtimes can reuse one parse + DcOptimize across
 /// executions and sessions. Conservative: texts differing only in
 /// whitespace/comments hash to different keys (a cache miss, never a wrong
@@ -36,8 +36,7 @@ Result<mal::Program> DcOptimize(const mal::Program& program,
 /// language ("mal", "sql", ...) and is mixed into both the hash and the
 /// key prefix, so identical text submitted in two languages can never share
 /// one cache slot.
-std::string PlanCacheKey(const std::string& text, bool optimize,
-                         const DcOptimizerOptions& options = {},
+std::string PlanCacheKey(const std::string& text, const DcOptimizerOptions& options = {},
                          const char* dialect = "mal");
 
 }  // namespace dcy::opt

@@ -1,99 +1,26 @@
 #include "runtime/ring_cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <unistd.h>
 
-#include <cstring>
 #include <filesystem>
 #include <set>
 #include <unordered_set>
 
 #include "bat/serialize.h"
 #include "common/logging.h"
+#include "runtime/ring_link.h"
 #include "sql/compiler.h"
 
 namespace dcy::runtime {
 
 namespace {
 
-constexpr uint32_t kOpBat = 1;
-constexpr uint32_t kOpRequest = 2;
-constexpr uint32_t kOpCtrl = 3;
-constexpr uint32_t kOpDelta = 4;
-
-/// Envelope + routing header of a circulating delta frame (ISSUE-9): the
-/// payload is one write::SerializeDelta wire image. Deltas ride the data
-/// channel and share its go-back-N sequence space with BAT frames, so loss,
-/// reordering, and corruption are handled by the same hop machinery. Padded
-/// to sizeof(net::DataFrame): the drain loop's coalesced-ACK scan filters on
-/// that size, and the envelope sits at offset 0 in both frames.
-struct DeltaFrame {
-  net::FrameHeader frame;
-  uint32_t fragment = 0;  ///< base fragment the delta applies to
-  uint32_t origin = 0;    ///< committing node; circulation ends back there
-  uint64_t version = 0;   ///< commit version (purged once folded into a base)
-  uint32_t hops = 0;      ///< hops travelled (orphan bound when origin dies)
-  uint32_t reserved = 0;
-  uint64_t pad[2] = {0, 0};
-};
-static_assert(sizeof(DeltaFrame) == sizeof(net::DataFrame),
-              "DeltaFrame must match DataFrame for the shared ACK scan");
-
-// Headers ride in the channel's fixed-capacity inline MetaBlob — no
-// per-message std::string allocation on either side of a hop. Since this PR
-// every data/request frame carries the net::FrameHeader reliability envelope
-// in front of the application header.
-static_assert(sizeof(net::DataFrame) <= rdma::MetaBlob::kCapacity,
-              "DataFrame must fit the inline meta frame");
-static_assert(sizeof(net::RequestFrame) <= rdma::MetaBlob::kCapacity,
-              "RequestFrame must fit the inline meta frame");
-static_assert(sizeof(net::CtrlMsg) <= rdma::MetaBlob::kCapacity,
-              "CtrlMsg must fit the inline meta frame");
-
-/// CRC over the per-hop mutable part of a data frame (the admin header);
-/// XORed with the cached payload-only CRC to form FrameHeader::payload_crc.
-uint32_t HeaderCrc(const core::BatHeader& h) {
-  // BatHeader carries tail padding, and struct assignment into a DataFrame
-  // need not preserve padding bytes — CRC the canonical field bytes only, or
-  // clean frames fail verification depending on what the copy left behind.
-  unsigned char buf[sizeof(core::BatHeader)] = {};
-  size_t off = 0;
-  const auto put = [&](const void* p, size_t n) {
-    std::memcpy(buf + off, p, n);
-    off += n;
-  };
-  put(&h.owner, sizeof(h.owner));
-  put(&h.bat_id, sizeof(h.bat_id));
-  put(&h.bat_size, sizeof(h.bat_size));
-  put(&h.loi, sizeof(h.loi));
-  put(&h.copies, sizeof(h.copies));
-  put(&h.hops, sizeof(h.hops));
-  put(&h.cycles, sizeof(h.cycles));
-  return bat::Crc32(buf, off);
-}
-
-/// CRC over the per-hop mutable part of a delta frame (hops change per hop,
-/// so each hop re-wraps, exactly like BAT frames).
-uint32_t DeltaHeaderCrc(const DeltaFrame& df) {
-  unsigned char buf[24] = {};
-  size_t off = 0;
-  const auto put = [&](const void* p, size_t n) {
-    std::memcpy(buf + off, p, n);
-    off += n;
-  };
-  put(&df.fragment, sizeof(df.fragment));
-  put(&df.origin, sizeof(df.origin));
-  put(&df.version, sizeof(df.version));
-  put(&df.hops, sizeof(df.hops));
-  return bat::Crc32(buf, off);
-}
-
-SimTime SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+/// Longest a node's service thread sleeps when idle (reaction latency to
+/// work posted from other threads).
+constexpr SimTime kIdleWait = FromMicros(200);
 
 double SecondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -140,80 +67,29 @@ class RingCluster::Node final : public core::DcEnv {
     SubmitOptions options;
   };
 
-  /// Liveness / hop bookkeeping beyond the per-link ReliableMetrics.
-  struct HopMetrics {
-    uint64_t heartbeats_sent = 0;
-    uint64_t heartbeats_received = 0;
-    uint64_t heartbeats_missed = 0;
-    uint64_t acks_sent = 0;
-    uint64_t forwards_without_payload = 0;
-    uint64_t orphan_frames_dropped = 0;
-    uint64_t frames_adopted = 0;
-    uint64_t decode_failures = 0;
-  };
-
   Node(RingCluster* cluster, core::NodeId id)
       : cluster_(cluster),
         id_(id),
         store_(NodeStoreOptions(cluster->options_.memory, cluster->options_.spill_dir,
-                                id)) {
-    const Options& opts = cluster->options_;
-    if (opts.adaptive_loit) {
-      loit_ = std::make_unique<core::AdaptiveLoit>(opts.adaptive);
-    } else {
-      loit_ = std::make_unique<core::StaticLoit>(opts.static_loit);
-    }
-    core::DcNodeOptions node_opts = opts.node;
-    node_opts.node_id = id;
-    node_opts.ring_size = opts.num_nodes;
-    dc_ = std::make_unique<core::DcNode>(node_opts, this, loit_.get());
-
-    rdma::Channel::Options data_opts;
-    data_opts.mode = opts.mode;
-    data_opts.capacity_bytes = opts.bat_queue_capacity * 4;  // hard backpressure
-    data_in_ = std::make_unique<rdma::Channel>(data_opts);
-    rdma::Channel::Options req_opts;
-    req_opts.mode = rdma::TransferMode::kZeroCopy;
-    request_in_ = std::make_unique<rdma::Channel>(req_opts);
-    rdma::Channel::Options ctrl_opts;
-    ctrl_opts.mode = rdma::TransferMode::kZeroCopy;  // meta-only traffic
-    ctrl_in_ = std::make_unique<rdma::Channel>(ctrl_opts);
-    if (opts.fault != nullptr) {
-      data_in_->SetFaultInjector(opts.fault, id_, rdma::kFaultChannelData);
-      request_in_->SetFaultInjector(opts.fault, id_, rdma::kFaultChannelRequest);
-      ctrl_in_->SetFaultInjector(opts.fault, id_, rdma::kFaultChannelCtrl);
-    }
-    data_out_.Init(id_, net::kChData, opts.resilience.link, opts.resilience.seed);
-    req_out_.Init(id_, net::kChRequest, opts.resilience.link, opts.resilience.seed);
+                                id)),
+        loit_(cluster->options_.adaptive),
+        // Hard backpressure at four times the logical BAT-queue capacity.
+        port_(id, cluster->options_.mode, cluster->options_.bat_queue_capacity * 4,
+              cluster->options_.fault),
+        links_{{MakeLink(cluster, id, RingLink::kSuccessor),
+                MakeLink(cluster, id, RingLink::kPredecessor)}} {
+    dc_ = std::make_unique<core::DcNode>(ProtocolOptions(), this, &loit_);
   }
 
   // ---- wiring ---------------------------------------------------------------
 
   core::NodeId id() const { return id_; }
-  rdma::Channel* data_in() { return data_in_.get(); }
-  rdma::Channel* request_in() { return request_in_.get(); }
-  rdma::Channel* ctrl_in() { return ctrl_in_.get(); }
-  void SetNeighbours(Node* successor, Node* predecessor) {
-    successor_.store(successor, std::memory_order_release);
-    predecessor_.store(predecessor, std::memory_order_release);
-  }
+  RingPort* port() { return &port_; }
 
-  /// Ring re-splice, posted onto the service thread: the sender towards the
-  /// new neighbour resets (fresh epoch) so the receiver adopts it cleanly,
-  /// and the liveness clock restarts.
-  void AdoptSuccessor(Node* s) {
-    Post([this, s] {
-      successor_.store(s, std::memory_order_release);
-      data_out_.Reset(SteadyNowNs());
-      last_heard_succ_ = SteadyNowNs();
-    });
-  }
-  void AdoptPredecessor(Node* p) {
-    Post([this, p] {
-      predecessor_.store(p, std::memory_order_release);
-      req_out_.Reset(SteadyNowNs());
-      last_heard_pred_ = SteadyNowNs();
-    });
+  /// Ring re-splice, posted onto the service thread: the `side` link is
+  /// rewired to `peer` on a fresh epoch (see RingLink::Adopt).
+  void Adopt(RingLink::Side side, core::NodeId peer) {
+    Post([this, side, peer] { links_[side].Adopt(peer, SteadyNowNs()); });
   }
 
   storage::FragmentStore& store() { return store_; }
@@ -223,20 +99,21 @@ class RingCluster::Node final : public core::DcEnv {
   /// Service-thread-owned reliability + hop counters, summed. Call via
   /// PostSync (or any serialized context on a crashed node).
   void SnapshotResilience(RingCluster::ResilienceMetrics* out) const {
-    for (const net::ReliableMetrics* m :
-         {&data_out_.metrics(), &req_out_.metrics(), &data_rx_.metrics(),
-          &req_rx_.metrics()}) {
-      out->retransmits += m->retransmits;
-      out->frames_abandoned += m->frames_abandoned;
-      out->link_resets += m->link_resets;
-      out->frames_corrupted += m->frames_corrupted;
-      out->frames_duplicate += m->frames_duplicate;
-      out->frames_gap += m->frames_gap;
-      out->frames_stale += m->frames_stale;
-      out->frames_invalid += m->frames_invalid;
-      out->nacks_sent += m->nacks_sent;
+    for (const RingLink& link : links_) {
+      for (const net::ReliableMetrics* m :
+           {&link.sender().metrics(), &link.receiver().metrics()}) {
+        out->retransmits += m->retransmits;
+        out->frames_abandoned += m->frames_abandoned;
+        out->link_resets += m->link_resets;
+        out->frames_corrupted += m->frames_corrupted;
+        out->frames_duplicate += m->frames_duplicate;
+        out->frames_gap += m->frames_gap;
+        out->frames_stale += m->frames_stale;
+        out->frames_invalid += m->frames_invalid;
+        out->nacks_sent += m->nacks_sent;
+        out->acks_sent += m->acks_sent;
+      }
     }
-    out->acks_sent += hop_.acks_sent;
     out->heartbeats_sent += hop_.heartbeats_sent;
     out->heartbeats_received += hop_.heartbeats_received;
     out->heartbeats_missed += hop_.heartbeats_missed;
@@ -286,7 +163,7 @@ class RingCluster::Node final : public core::DcEnv {
   /// Must run while the service thread is still alive (running queries
   /// unwind through Unpin posts to it). `error` is the terminal status of
   /// everything abandoned: Aborted on shutdown, Unavailable on crash.
-  void StopRunnersWith(const Status& error) {
+  void StopRunners(const Status& error) {
     std::deque<QueuedQuery> abandoned;
     {
       std::lock_guard<std::mutex> lock(admission_mu_);
@@ -313,13 +190,9 @@ class RingCluster::Node final : public core::DcEnv {
     }
   }
 
-  void StopRunners() { StopRunnersWith(Status::Aborted("cluster stopping")); }
-
   void Stop() {
     stop_.store(true);
-    data_in_->Close();
-    request_in_->Close();
-    ctrl_in_->Close();
+    port_.Close();
     mailbox_cv_.notify_all();
     if (service_.joinable()) service_.join();
   }
@@ -330,7 +203,7 @@ class RingCluster::Node final : public core::DcEnv {
   /// working (tasks run inline, serialized) so no caller can hang on a
   /// corpse.
   void Crash() {
-    StopRunnersWith(Status::Unavailable("node " + std::to_string(id_) + " crashed"));
+    StopRunners(Status::Unavailable("node " + std::to_string(id_) + " crashed"));
     // The crash loses RAM but not the disk tier: the store forgets every
     // frame while the spill files survive for RestartNode's recovery scan.
     store_.ForgetAllForCrash();
@@ -339,12 +212,7 @@ class RingCluster::Node final : public core::DcEnv {
       std::lock_guard<std::mutex> lock(mailbox_mu_);
       crashed_.store(true, std::memory_order_release);
     }
-    stop_.store(true);
-    data_in_->Close();
-    request_in_->Close();
-    ctrl_in_->Close();
-    mailbox_cv_.notify_all();
-    if (service_.joinable()) service_.join();
+    Stop();
     // Run what the service thread left behind: posted tasks may carry
     // PostSync promises whose callers would otherwise block forever.
     std::deque<std::function<void()>> leftover;
@@ -358,25 +226,19 @@ class RingCluster::Node final : public core::DcEnv {
   /// Re-admission after Crash(): a restarted node comes back amnesiac — a
   /// fresh protocol state machine, reopened channels, reset senders (new
   /// epochs) — wired between `successor` and `predecessor`.
-  void Restart(Node* successor, Node* predecessor) {
+  void Restart(core::NodeId successor, core::NodeId predecessor) {
     std::lock_guard<std::mutex> dead(dead_exec_mu_);
-    core::DcNodeOptions node_opts = cluster_->options_.node;
-    node_opts.node_id = id_;
-    node_opts.ring_size = cluster_->options_.num_nodes;
-    dc_ = std::make_unique<core::DcNode>(node_opts, this, loit_.get());
+    dc_ = std::make_unique<core::DcNode>(ProtocolOptions(), this, &loit_);
     decoded_.clear();
     decoded_in_store_.clear();
     decode_rejected_.clear();
     delta_cache_.clear();
     current_payload_ = nullptr;
     current_payload_crc_ = 0;
-    data_in_->Reopen();
-    request_in_->Reopen();
-    ctrl_in_->Reopen();
+    port_.Reopen();
     const SimTime now = SteadyNowNs();
-    data_out_.Reset(now);
-    req_out_.Reset(now);
-    SetNeighbours(successor, predecessor);
+    links_[RingLink::kSuccessor].Adopt(successor, now);
+    links_[RingLink::kPredecessor].Adopt(predecessor, now);
     {
       std::lock_guard<std::mutex> lock(mailbox_mu_);
       mailbox_.clear();
@@ -501,11 +363,19 @@ class RingCluster::Node final : public core::DcEnv {
     waiters_.erase({q, b});
   }
 
-  /// Thread-safe failure injection into one waiter (cancel / deadline); a
-  /// no-op if the delivery already resolved it — whichever side erases the
-  /// entry first wins.
-  void ResolveWaiterWith(core::QueryId q, core::BatId b, Status error) {
-    ResolveWaiter(q, b, std::move(error));
+  /// Thread-safe resolution of one waiter (delivery, failure, cancel or
+  /// deadline); a no-op if it was already resolved — whichever side erases
+  /// the entry first wins.
+  void ResolveWaiter(core::QueryId query, core::BatId bat, Result<bat::BatPtr> value) {
+    std::promise<Result<bat::BatPtr>> promise;
+    {
+      std::lock_guard<std::mutex> lock(waiters_mu_);
+      auto it = waiters_.find({query, bat});
+      if (it == waiters_.end()) return;  // nobody waiting (local pin path)
+      promise = std::move(it->second);
+      waiters_.erase(it);
+    }
+    promise.set_value(std::move(value));
   }
 
   /// Fails every outstanding waiter of `query` (cooperative Cancel()).
@@ -539,14 +409,9 @@ class RingCluster::Node final : public core::DcEnv {
 
   void SendRequestMsg(const core::RequestMsg& msg) override {
     // Requests travel anti-clockwise.
-    Node* pred = predecessor_.load(std::memory_order_acquire);
     net::RequestFrame rf;
-    rf.frame = req_out_.NextHeader(bat::Crc32(&msg, sizeof(msg)));
     rf.req = msg;
-    const rdma::MetaBlob meta = rdma::MetaBlob::Of(rf);
-    if (pred->request_in()->Send(kOpRequest, meta, nullptr, id_)) {
-      req_out_.Track(kOpRequest, meta, nullptr, rf.frame.seq, SteadyNowNs());
-    }
+    links_[RingLink::kPredecessor].Send(kOpRequest, rf, nullptr, 0);
   }
 
   void SendBatMsg(const core::BatHeader& header, bool is_load) override {
@@ -605,16 +470,9 @@ class RingCluster::Node final : public core::DcEnv {
     }
     ++wire_.hops;
     wire_.hop_bytes += payload->size();
-    Node* succ = successor_.load(std::memory_order_acquire);
     net::DataFrame df;
-    df.frame = data_out_.NextHeader(HeaderCrc(header) ^ payload_crc);
     df.bat = header;
-    // meta = envelope + administrative header, payload = encoded BAT
-    // (zero-copy); a copy stays in the retransmit window until ACKed.
-    const rdma::MetaBlob meta = rdma::MetaBlob::Of(df);
-    if (succ->data_in()->Send(kOpBat, meta, payload, id_)) {
-      data_out_.Track(kOpBat, meta, std::move(payload), df.frame.seq, SteadyNowNs());
-    }
+    links_[RingLink::kSuccessor].Send(kOpBat, df, std::move(payload), payload_crc);
   }
 
   void DeliverToQuery(core::QueryId query, core::BatId bat) override {
@@ -643,7 +501,7 @@ class RingCluster::Node final : public core::DcEnv {
   }
 
   uint64_t BatQueueLoadBytes() override {
-    return successor_.load(std::memory_order_acquire)->data_in()->queued_bytes();
+    return links_[RingLink::kSuccessor].OutboundQueuedBytes();
   }
 
   uint64_t BatQueueCapacityBytes() override { return cluster_->options_.bat_queue_capacity; }
@@ -692,165 +550,71 @@ class RingCluster::Node final : public core::DcEnv {
     auto frame = frame_pool_.Acquire(write::EncodedDeltaSize(*d));
     write::SerializeDeltaInto(*d, frame.get());
     rdma::Buffer payload = std::move(frame);
+    DeltaFrame df;
+    df.fragment = d->fragment;
+    df.origin = id_;
+    df.version = d->version;
     // A delta frame ends in its own CRC too: stamp the residue.
-    Post([this, fragment = d->fragment, version = d->version,
-          payload = std::move(payload)] {
-      SendDeltaMsg(fragment, version, /*origin=*/id_, /*hops=*/0, payload,
-                   bat::kFrameCrcResidue);
+    Post([this, df, payload = std::move(payload)] {
+      links_[RingLink::kSuccessor].Send(kOpDelta, df, payload, bat::kFrameCrcResidue);
     });
   }
 
-  /// Delta copies this node holds from ring circulation (service-thread
-  /// state; call via PostSync).
-  size_t cached_delta_count() const {
-    size_t n = 0;
-    for (const auto& [_, deltas] : delta_cache_) n += deltas.size();
-    return n;
-  }
-
  private:
-  void ResolveWaiter(core::QueryId query, core::BatId bat, Result<bat::BatPtr> value) {
-    std::promise<Result<bat::BatPtr>> promise;
-    {
-      std::lock_guard<std::mutex> lock(waiters_mu_);
-      auto it = waiters_.find({query, bat});
-      if (it == waiters_.end()) return;  // nobody waiting (local pin path)
-      promise = std::move(it->second);
-      waiters_.erase(it);
+  /// The dispatch of every inbound frame: the link's Accept verifies it,
+  /// the protocol sees only what passed.
+  void HandleFrame(RingLink& link, const rdma::Message& m) {
+    uint32_t crc = 0;
+    if (m.opcode == kOpRequest) {
+      net::RequestFrame rf;
+      if (link.Accept(m, &rf, &crc)) dc_->OnRequestMsg(rf.req);
+    } else if (m.opcode == kOpBat) {
+      net::DataFrame df;
+      if (link.Accept(m, &df, &crc)) OnBatFrame(df.bat, m.payload, crc);
+    } else if (m.opcode == kOpDelta) {
+      DeltaFrame df;
+      if (link.Accept(m, &df, &crc)) OnDeltaFrame(df, m.payload, crc);
     }
-    promise.set_value(std::move(value));
-  }
-
-  /// True for plausibly well-formed envelopes; anything else (a corrupted
-  /// meta, a frame from nowhere) is counted and dropped without a NACK —
-  /// garbage must not be able to steer per-peer protocol state.
-  bool ValidFrame(const net::FrameHeader& h, net::ReliableReceiver* rx) {
-    if (h.magic == net::kFrameMagic && h.sender < cluster_->options_.num_nodes &&
-        h.sender != id_) {
-      return true;
-    }
-    ++rx->mutable_metrics()->frames_invalid;
-    return false;
-  }
-
-  void SendNack(uint32_t to, uint32_t channel, uint32_t epoch, uint64_t seq) {
-    net::CtrlMsg nack;
-    nack.sender = id_;
-    nack.channel = channel;
-    nack.kind = static_cast<uint32_t>(net::CtrlKind::kNack);
-    nack.epoch = epoch;
-    nack.seq = seq;
-    nack.crc = net::CtrlCrc(nack);
-    cluster_->nodes_[to]->ctrl_in()->Send(kOpCtrl, rdma::MetaBlob::Of(nack), nullptr,
-                                          id_);
-  }
-
-  void SendAck(uint32_t to, uint32_t channel, uint32_t epoch, uint64_t seq) {
-    net::CtrlMsg ack;
-    ack.sender = id_;
-    ack.channel = channel;
-    ack.kind = static_cast<uint32_t>(net::CtrlKind::kAck);
-    ack.epoch = epoch;
-    ack.seq = seq;
-    ack.crc = net::CtrlCrc(ack);
-    if (cluster_->nodes_[to]->ctrl_in()->Send(kOpCtrl, rdma::MetaBlob::Of(ack), nullptr,
-                                              id_)) {
-      ++hop_.acks_sent;
-    }
-  }
-
-  void NoteHeardFrom(core::NodeId sender) {
-    const SimTime now = SteadyNowNs();
-    Node* succ = successor_.load(std::memory_order_acquire);
-    Node* pred = predecessor_.load(std::memory_order_acquire);
-    if (succ != nullptr && succ->id() == sender) last_heard_succ_ = now;
-    if (pred != nullptr && pred->id() == sender) last_heard_pred_ = now;
   }
 
   void HandleCtrl(const rdma::Message& m) {
-    if (m.meta.size() < sizeof(net::CtrlMsg)) return;
-    const auto c = m.meta.As<net::CtrlMsg>();
-    if (c.magic != net::kFrameMagic || c.sender >= cluster_->options_.num_nodes) return;
-    if (c.crc != net::CtrlCrc(c)) {
-      // A corrupted ACK could falsely retire un-delivered frames from the
-      // sender's window; drop it and let a later cumulative ACK (or the
-      // retransmit timer) carry the information instead.
-      ++data_rx_.mutable_metrics()->frames_invalid;
-      return;
+    net::CtrlMsg c;
+    if (!links_[RingLink::kPredecessor].AcceptCtrl(m, &c)) return;
+    if (c.kind == static_cast<uint32_t>(net::CtrlKind::kHeartbeat)) {
+      ++hop_.heartbeats_received;
     }
     const SimTime now = SteadyNowNs();
-    switch (static_cast<net::CtrlKind>(c.kind)) {
-      case net::CtrlKind::kAck:
-        if (c.channel == net::kChData) data_out_.OnAck(c.epoch, c.seq, now);
-        if (c.channel == net::kChRequest) req_out_.OnAck(c.epoch, c.seq, now);
-        break;
-      case net::CtrlKind::kNack:
-        if (c.channel == net::kChData) data_out_.OnNack(c.epoch, c.seq, now);
-        if (c.channel == net::kChRequest) req_out_.OnNack(c.epoch, c.seq, now);
-        break;
-      case net::CtrlKind::kHeartbeat:
-        ++hop_.heartbeats_received;
-        NoteHeardFrom(c.sender);
-        break;
-    }
+    for (RingLink& link : links_) link.OnCtrl(c, now);
   }
 
-  void HandleRequestFrame(const rdma::Message& m) {
-    if (m.meta.size() < sizeof(net::RequestFrame)) return;
-    const auto rf = m.meta.As<net::RequestFrame>();
-    if (!ValidFrame(rf.frame, &req_rx_)) return;
-    const bool crc_ok = (bat::Crc32(&rf.req, sizeof(rf.req)) ^
-                         net::EnvelopeCrc(rf.frame)) == rf.frame.payload_crc;
-    const auto outcome = req_rx_.OnFrame(rf.frame, crc_ok);
-    if (outcome.send_nack) {
-      SendNack(rf.frame.sender, net::kChRequest, outcome.nack_epoch, outcome.nack_seq);
-    }
-    if (outcome.verdict != net::ReliableReceiver::Verdict::kDeliver) return;
-    NoteHeardFrom(rf.frame.sender);
-    dc_->OnRequestMsg(rf.req);
+  /// The one orphan bound of BAT and delta frames: a frame whose owner (or
+  /// origin) died circulates until adopted or back home; past one full lap
+  /// plus slack for in-flight duplicates it is dropped on receipt.
+  bool Orphaned(uint32_t hops) {
+    if (hops <= 2 * cluster_->options_.num_nodes + 4) return false;
+    ++hop_.orphan_frames_dropped;
+    return true;
   }
 
-  void HandleDataFrame(const rdma::Message& m) {
-    if (m.meta.size() < sizeof(net::DataFrame)) return;
-    const auto df = m.meta.As<net::DataFrame>();
-    if (!ValidFrame(df.frame, &data_rx_) || data_rx_.DropBeforeVerify(df.frame)) return;
-    const uint32_t header_crc = HeaderCrc(df.bat);
-    const bool crc_ok =
-        m.payload != nullptr &&
-        (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-         net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
-    const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
-    if (outcome.send_nack) {
-      SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
-    }
-    if (outcome.verdict != net::ReliableReceiver::Verdict::kDeliver) return;
-    NoteHeardFrom(df.frame.sender);
-
-    core::BatHeader header = df.bat;
+  void OnBatFrame(core::BatHeader header, const rdma::Buffer& payload,
+                  uint32_t payload_crc) {
     if (!cluster_->IsNodeAlive(header.owner)) {
       if (dc_->owned().Find(header.bat_id) != nullptr) {
         // This node inherited the fragment (re-homing): take ownership of
         // the circulating frame too, so hot-set accounting has an owner.
         header.owner = id_;
         ++hop_.frames_adopted;
-      } else if (header.hops > (cluster_->options_.resilience.orphan_hop_limit != 0
-                                    ? cluster_->options_.resilience.orphan_hop_limit
-                                    : 2 * cluster_->options_.num_nodes + 4)) {
-        // An orphan with a dead owner and no heir: nobody will retire it,
-        // so age it out instead of letting it circle forever.
-        ++hop_.orphan_frames_dropped;
-        return;
+      } else if (Orphaned(header.hops)) {
+        return;  // a dead owner and no heir: nobody would retire it
       }
     }
 
-    current_payload_ = m.payload;
-    // Strip envelope and admin-header halves: the cached value is the CRC of
-    // the payload bytes alone, re-wrapped per hop by SendBatMsg.
-    current_payload_crc_ = df.frame.payload_crc ^ net::EnvelopeCrc(df.frame) ^ header_crc;
+    current_payload_ = payload;
+    current_payload_crc_ = payload_crc;
     // Decode up front if local queries are blocked on it (delivery needs the
     // typed BAT) — cheap check, decode once.
     if (dc_->pins().HasBlocked(header.bat_id) && decoded_.count(header.bat_id) == 0) {
-      auto decoded = bat::Deserialize(*m.payload);
+      auto decoded = bat::Deserialize(*payload);
       if (decoded.ok()) {
         // The decoded payload charges the memory budget like any other
         // resident fragment: admit it as a non-durable (droppable) frame,
@@ -878,46 +642,13 @@ class RingCluster::Node final : public core::DcEnv {
     TrimDecoded();
   }
 
-  /// Sends one delta frame clockwise (service thread only). Shares the data
-  /// sender's sequence space, so ACK/NACK/retransmission come for free.
-  void SendDeltaMsg(core::BatId fragment, uint64_t version, core::NodeId origin,
-                    uint32_t hops, rdma::Buffer payload, uint32_t payload_crc) {
-    Node* succ = successor_.load(std::memory_order_acquire);
-    if (succ == nullptr || succ == this) return;
-    DeltaFrame df;
-    df.fragment = fragment;
-    df.origin = origin;
-    df.version = version;
-    df.hops = hops;
-    df.frame = data_out_.NextHeader(DeltaHeaderCrc(df) ^ payload_crc);
-    const rdma::MetaBlob meta = rdma::MetaBlob::Of(df);
-    if (succ->data_in()->Send(kOpDelta, meta, payload, id_)) {
-      data_out_.Track(kOpDelta, meta, std::move(payload), df.frame.seq, SteadyNowNs());
-    }
-  }
-
-  void HandleDeltaFrame(const rdma::Message& m) {
-    if (m.meta.size() < sizeof(DeltaFrame)) return;
-    const auto df = m.meta.As<DeltaFrame>();
-    if (!ValidFrame(df.frame, &data_rx_) || data_rx_.DropBeforeVerify(df.frame)) return;
-    const uint32_t header_crc = DeltaHeaderCrc(df);
-    const bool crc_ok =
-        m.payload != nullptr &&
-        (header_crc ^ bat::Crc32(m.payload->data(), m.payload->size()) ^
-         net::EnvelopeCrc(df.frame)) == df.frame.payload_crc;
-    const auto outcome = data_rx_.OnFrame(df.frame, crc_ok);
-    if (outcome.send_nack) {
-      SendNack(df.frame.sender, net::kChData, outcome.nack_epoch, outcome.nack_seq);
-    }
-    if (outcome.verdict != net::ReliableReceiver::Verdict::kDeliver) return;
-    NoteHeardFrom(df.frame.sender);
-
+  void OnDeltaFrame(DeltaFrame df, const rdma::Buffer& payload, uint32_t payload_crc) {
     // Full lap: the origin already holds the commit in the write log.
-    if (df.origin == id_) return;
+    if (df.origin == id_ || Orphaned(df.hops)) return;
     write::WriteLog& log = cluster_->write_log_;
     // Stale: the compactor folded this version into a base already.
     if (df.version <= log.BaseVersionOf(df.fragment)) return;
-    auto decoded = write::DeserializeDelta(*m.payload);
+    auto decoded = write::DeserializeDelta(*payload);
     if (!decoded.ok()) {
       // Hop CRC passed but the delta encoding itself is bad (corrupted at
       // the source): count it, never apply garbage.
@@ -926,18 +657,11 @@ class RingCluster::Node final : public core::DcEnv {
       return;
     }
     delta_cache_[df.fragment].push_back(std::move(decoded).value());
-    // Forward until every node held a copy. Termination is reaching the
-    // origin (above); the hop bound only reaps frames whose origin died.
-    const uint32_t hop_bound = 2 * cluster_->options_.num_nodes + 4;
-    if (df.hops + 1 >= hop_bound) {
-      ++hop_.orphan_frames_dropped;
-      return;
-    }
-    const uint32_t payload_crc =
-        df.frame.payload_crc ^ net::EnvelopeCrc(df.frame) ^ header_crc;
-    SendDeltaMsg(df.fragment, df.version, df.origin, df.hops + 1, m.payload,
-                 payload_crc);
-    log.NoteDeltaForwarded(m.payload->size());
+    // Forward until every node held a copy: circulation ends back at the
+    // origin, the orphan bound reaps frames whose origin died.
+    ++df.hops;
+    links_[RingLink::kSuccessor].Send(kOpDelta, df, payload, payload_crc);
+    log.NoteDeltaForwarded(payload->size());
   }
 
   /// Drops cached delta copies the compactor has folded into new bases
@@ -955,80 +679,23 @@ class RingCluster::Node final : public core::DcEnv {
     }
   }
 
-  /// Sends one coalesced cumulative ACK per distinct sender in a drained
-  /// batch — O(batch) frames cost O(senders) ACK messages.
-  template <typename FrameT>
-  void AckDrainedBatch(const std::vector<rdma::Message>& batch, uint32_t channel,
-                       const net::ReliableReceiver& rx) {
-    uint32_t seen[2] = {core::kInvalidNode, core::kInvalidNode};
-    size_t n = 0;
-    for (const rdma::Message& m : batch) {
-      if (m.meta.size() < sizeof(FrameT)) continue;
-      const auto f = m.meta.As<FrameT>();
-      const uint32_t s = f.frame.sender;
-      if (s >= cluster_->options_.num_nodes) continue;
-      bool known = false;
-      for (size_t i = 0; i < n; ++i) known = known || seen[i] == s;
-      if (known) continue;
-      if (n < 2) seen[n++] = s;
-      uint32_t epoch = 0;
-      uint64_t seq = 0;
-      if (rx.CumulativeAck(s, &epoch, &seq)) SendAck(s, channel, epoch, seq);
-    }
-  }
-
-  /// Re-sends whatever is due in each link's retransmit window.
-  void PumpRetransmits(SimTime now) {
-    if (const size_t due = data_out_.CollectRetransmits(now)) {
-      Node* succ = successor_.load(std::memory_order_acquire);
-      for (size_t i = 0; i < due; ++i) {
-        const auto& s = data_out_.window()[i];
-        succ->data_in()->Send(s.opcode, s.meta, s.payload, id_);
-      }
-    }
-    if (const size_t due = req_out_.CollectRetransmits(now)) {
-      Node* pred = predecessor_.load(std::memory_order_acquire);
-      for (size_t i = 0; i < due; ++i) {
-        const auto& s = req_out_.window()[i];
-        pred->request_in()->Send(s.opcode, s.meta, s.payload, id_);
-      }
-    }
-  }
-
-  void SendHeartbeats() {
-    net::CtrlMsg hb;
-    hb.sender = id_;
-    hb.channel = net::kChCtrl;
-    hb.kind = static_cast<uint32_t>(net::CtrlKind::kHeartbeat);
-    hb.crc = net::CtrlCrc(hb);
-    Node* succ = successor_.load(std::memory_order_acquire);
-    Node* pred = predecessor_.load(std::memory_order_acquire);
-    const rdma::MetaBlob meta = rdma::MetaBlob::Of(hb);
-    if (succ != nullptr && succ != this) {
-      succ->ctrl_in()->Send(kOpCtrl, meta, nullptr, id_);
-      ++hop_.heartbeats_sent;
-    }
-    if (pred != nullptr && pred != this && pred != succ) {
-      pred->ctrl_in()->Send(kOpCtrl, meta, nullptr, id_);
-      ++hop_.heartbeats_sent;
-    }
-  }
-
-  void CheckNeighbours(SimTime now) {
+  /// Heartbeats each distinct neighbour and reports one that has been
+  /// silent for too long to the membership oracle.
+  void Heartbeat(SimTime now) {
     const auto& res = cluster_->options_.resilience;
     const SimTime silence_bound = res.heartbeat_miss_threshold * res.heartbeat_period;
-    Node* succ = successor_.load(std::memory_order_acquire);
-    Node* pred = predecessor_.load(std::memory_order_acquire);
-    if (succ != nullptr && succ != this && now - last_heard_succ_ > silence_bound) {
-      ++hop_.heartbeats_missed;
-      last_heard_succ_ = now;  // one report per silence window, not a storm
-      cluster_->ReportSuspect(id_, succ->id());
-    }
-    if (pred != nullptr && pred != this && pred != succ &&
-        now - last_heard_pred_ > silence_bound) {
-      ++hop_.heartbeats_missed;
-      last_heard_pred_ = now;
-      cluster_->ReportSuspect(id_, pred->id());
+    const core::NodeId succ = links_[RingLink::kSuccessor].peer();
+    for (RingLink& link : links_) {
+      // A two-node ring has one neighbour on both sides, a lone survivor none.
+      const core::NodeId peer = link.peer();
+      const bool pred = &link == &links_[RingLink::kPredecessor];
+      if (peer == id_ || (pred && peer == succ)) continue;
+      link.SendHeartbeat();
+      ++hop_.heartbeats_sent;
+      if (link.Silent(now, silence_bound)) {
+        ++hop_.heartbeats_missed;
+        cluster_->ReportSuspect(id_, peer);
+      }
     }
   }
 
@@ -1039,7 +706,7 @@ class RingCluster::Node final : public core::DcEnv {
     SimTime next_maintenance = SteadyNowNs() + node_opts.maintenance_period;
     SimTime next_adapt = SteadyNowNs() + node_opts.adapt_period;
     SimTime next_heartbeat = SteadyNowNs() + res.heartbeat_period;
-    last_heard_succ_ = last_heard_pred_ = SteadyNowNs();
+    for (RingLink& link : links_) link.RestartSilenceClock(SteadyNowNs());
 
     while (!stop_.load(std::memory_order_relaxed)) {
       bool did_work = false;
@@ -1057,43 +724,31 @@ class RingCluster::Node final : public core::DcEnv {
         did_work = true;
       }
 
-      // Drain whole backlogs in one lock acquisition per channel: at high
+      // Drain whole backlogs in one lock acquisition per link (requests
+      // from the successor, then data from the predecessor): at high
       // message rates a rotation delivers bursts, and per-message locking
       // was the dominant hop cost.
-      drain_.clear();
-      if (request_in_->TryReceiveAll(&drain_) > 0) {
-        for (const rdma::Message& m : drain_) HandleRequestFrame(m);
-        AckDrainedBatch<net::RequestFrame>(drain_, net::kChRequest, req_rx_);
+      for (RingLink& link : links_) {
+        drain_.clear();
+        if (link.inbox().TryReceiveAll(&drain_) == 0) continue;
+        for (const rdma::Message& m : drain_) HandleFrame(link, m);
+        link.AckDrained(drain_);
         did_work = true;
       }
-      drain_.clear();
-      if (data_in_->TryReceiveAll(&drain_) > 0) {
-        for (rdma::Message& m : drain_) {
-          if (m.opcode == kOpDelta) {
-            HandleDeltaFrame(m);
-          } else {
-            HandleDataFrame(m);
-          }
-        }
-        AckDrainedBatch<net::DataFrame>(drain_, net::kChData, data_rx_);
-        drain_.clear();  // release payload references promptly
-        did_work = true;
-      }
+      drain_.clear();  // release payload references promptly
 
       // Control right before the pump: ACKs that arrived while this loop
       // drained its own data must retire frames before their timers are
       // judged, or a merely slow peer gets its whole window re-sent.
-      drain_.clear();
-      if (ctrl_in_->TryReceiveAll(&drain_) > 0) {
+      if (port_.ctrl.TryReceiveAll(&drain_) > 0) {
         for (const rdma::Message& m : drain_) HandleCtrl(m);
         did_work = true;
       }
 
       const SimTime now = SteadyNowNs();
-      PumpRetransmits(now);
+      for (RingLink& link : links_) link.PumpRetransmits(now);
       if (res.enable_heartbeats && now >= next_heartbeat) {
-        SendHeartbeats();
-        CheckNeighbours(now);
+        Heartbeat(now);
         next_heartbeat = now + res.heartbeat_period;
         did_work = true;
       }
@@ -1117,7 +772,7 @@ class RingCluster::Node final : public core::DcEnv {
 
       if (!did_work) {
         std::unique_lock<std::mutex> lock(mailbox_mu_);
-        mailbox_cv_.wait_for(lock, std::chrono::nanoseconds(res.idle_wait));
+        mailbox_cv_.wait_for(lock, std::chrono::nanoseconds(kIdleWait));
       }
     }
   }
@@ -1173,27 +828,33 @@ class RingCluster::Node final : public core::DcEnv {
     }
   }
 
+  /// A link wired to the neighbour on `side` in the original ring order.
+  static RingLink MakeLink(RingCluster* cluster, core::NodeId id, RingLink::Side side) {
+    const Options& opts = cluster->options_;
+    const uint32_t step = side == RingLink::kSuccessor ? 1 : opts.num_nodes - 1;
+    return RingLink(id, side, (id + step) % opts.num_nodes, &cluster->ports_,
+                    opts.resilience.link, opts.resilience.seed);
+  }
+
+  /// The per-node protocol options: the cluster's, with this node's place.
+  core::DcNodeOptions ProtocolOptions() const {
+    core::DcNodeOptions opts = cluster_->options_.node;
+    opts.node_id = id_;
+    opts.ring_size = cluster_->options_.num_nodes;
+    return opts;
+  }
+
   RingCluster* cluster_;
   core::NodeId id_;
   storage::FragmentStore store_;
-  std::unique_ptr<core::LoitPolicy> loit_;
+  core::AdaptiveLoit loit_;  ///< §5.2: the LOIT follows the BAT-queue load
   std::unique_ptr<core::DcNode> dc_;
-  std::atomic<Node*> successor_{nullptr};
-  std::atomic<Node*> predecessor_{nullptr};
 
-  std::unique_ptr<rdma::Channel> data_in_;     // from predecessor
-  std::unique_ptr<rdma::Channel> request_in_;  // from successor
-  std::unique_ptr<rdma::Channel> ctrl_in_;     // ACK/NACK/heartbeat, any node
-
-  // Hop reliability (service-thread state; read via PostSync snapshots).
-  net::ReliableSender data_out_;   // towards successor
-  net::ReliableSender req_out_;    // towards predecessor
-  net::ReliableReceiver data_rx_;  // frames from predecessor(s)
-  net::ReliableReceiver req_rx_;   // frames from successor(s)
-  HopMetrics hop_;
+  // Hop transport (service-thread state; read via PostSync snapshots).
+  RingPort port_;
+  std::array<RingLink, 2> links_;  ///< indexed by RingLink::Side
+  ResilienceMetrics hop_;  ///< liveness and degradation counters of this node
   BandwidthMetrics wire_;  // serialize/send-path compression counters
-  SimTime last_heard_succ_ = 0;
-  SimTime last_heard_pred_ = 0;
 
   std::atomic<bool> crashed_{false};
   /// Serializes inline task execution while the node is crashed (the
@@ -1350,10 +1011,10 @@ class SessionHooks final : public mal::DcHooks {
       const auto blocked_at = std::chrono::steady_clock::now();
       if (cancel_ != nullptr) {
         if (cancel_->cancelled()) {
-          node_->ResolveWaiterWith(query_, bat, Status::Aborted("query cancelled"));
+          node_->ResolveWaiter(query_, bat, Status::Aborted("query cancelled"));
         } else if (cancel_->has_deadline() &&
                    future.wait_until(cancel_->deadline()) != std::future_status::ready) {
-          node_->ResolveWaiterWith(query_, bat, cancel_->CheckLive());
+          node_->ResolveWaiter(query_, bat, cancel_->CheckLive());
         }
       }
       auto delivered = future.get();  // blocks until resolved either way
@@ -1563,11 +1224,7 @@ RingCluster::RingCluster(Options options) : options_(options) {
   for (uint32_t i = 0; i < options_.num_nodes; ++i) {
     alive_[i].store(true, std::memory_order_relaxed);
     nodes_.push_back(std::make_unique<Node>(this, i));
-  }
-  for (uint32_t i = 0; i < options_.num_nodes; ++i) {
-    Node* succ = nodes_[(i + 1) % options_.num_nodes].get();
-    Node* pred = nodes_[(i + options_.num_nodes - 1) % options_.num_nodes].get();
-    nodes_[i]->SetNeighbours(succ, pred);
+    ports_.push_back(nodes_.back()->port());
   }
 }
 
@@ -1687,7 +1344,7 @@ void RingCluster::Stop() {
   // service threads), then the protocol layer. Crashed nodes are already
   // quiescent; both calls are no-ops for them.
   for (auto& node : nodes_) {
-    if (!node->crashed()) node->StopRunners();
+    if (!node->crashed()) node->StopRunners(Status::Aborted("cluster stopping"));
   }
   for (auto& node : nodes_) {
     if (!node->crashed()) node->Stop();
@@ -1838,8 +1495,8 @@ void RingCluster::ReportSuspect(core::NodeId reporter, core::NodeId suspect) {
                  << " dead; splicing " << pred->id() << " -> " << succ->id();
   // Bypass the corpse: the predecessor's data now flows to the successor
   // and the successor's requests to the predecessor, each on a new epoch.
-  pred->AdoptSuccessor(succ);
-  succ->AdoptPredecessor(pred);
+  pred->Adopt(RingLink::kSuccessor, succ->id());
+  succ->Adopt(RingLink::kPredecessor, pred->id());
   HandleDeadFragments(suspect, heir);
 }
 
@@ -1949,7 +1606,7 @@ Status RingCluster::RestartNode(core::NodeId node) {
     pred = nodes_[PrevAliveLocked(node)].get();
     succ = nodes_[NextAliveLocked(node)].get();
   }
-  comer->Restart(succ, pred);
+  comer->Restart(succ->id(), pred->id());
   alive_[node].store(true, std::memory_order_release);
   dead_count_.fetch_sub(1, std::memory_order_relaxed);
   // Crash-safe recovery of the two-tier store: re-admit every checksum-valid
@@ -1966,40 +1623,26 @@ Status RingCluster::RestartNode(core::NodeId node) {
   // Re-introduce the node's surviving fragments (those not re-homed while
   // it was down) to its fresh protocol state.
   std::vector<std::pair<core::BatId, uint64_t>> owned;
-  struct Refetch {
-    core::BatId id;
-    std::string name;
-    bat::BatPtr loader;
-  };
-  std::vector<Refetch> refetches;
   {
     std::lock_guard<std::mutex> lock(directory_mu_);
     for (const auto& [id, info] : fragments_) {
-      if (info.owner != node) continue;
-      owned.emplace_back(id, info.size);
-      if (!comer->store().Contains(id)) {
-        refetches.push_back(Refetch{id, info.name, info.loader});
-      }
+      if (info.owner == node) owned.emplace_back(id, info.size);
     }
   }
-  for (const auto& r : refetches) {
-    Status refetched = comer->store().Admit(r.id, r.name, r.loader, /*durable=*/true,
-                                            /*initial_pins=*/0,
-                                            std::chrono::milliseconds(5000),
-                                            write_log_.BaseVersionOf(r.id));
-    if (refetched.ok()) {
-      comer->store().NoteRefetched();
-    } else if (refetched.code() != StatusCode::kAlreadyExists) {
-      DCY_LOG(kError) << "node " << node << " cannot re-materialize fragment "
-                      << r.name << ": " << refetched.ToString();
+  for (const auto& [id, size] : owned) {
+    if (comer->store().Contains(id)) continue;
+    Status refetched = RefetchFragment(id, comer);
+    if (!refetched.ok()) {
+      DCY_LOG(kError) << "node " << node << " cannot re-materialize fragment " << id
+                      << ": " << refetched.ToString();
     }
   }
   comer->PostSync([&] {
     for (const auto& [id, size] : owned) comer->dc().AddOwnedBat(id, size);
   });
   // Close the ring around the newcomer (fresh epochs towards it).
-  if (pred != comer) pred->AdoptSuccessor(comer);
-  if (succ != comer) succ->AdoptPredecessor(comer);
+  if (pred != comer) pred->Adopt(RingLink::kSuccessor, node);
+  if (succ != comer) succ->Adopt(RingLink::kPredecessor, node);
   DCY_LOG(kInfo) << "node " << node << " restarted and re-spliced between "
                  << pred->id() << " and " << succ->id();
   return Status::OK();
@@ -2062,7 +1705,7 @@ Result<PreparedQueryPtr> RingCluster::Prepare(const std::string& text,
   // The dialect is part of the key: the same text prepared as SQL and as MAL
   // compiles to different programs, so the two must occupy distinct slots.
   const char* dialect = language == Language::kSQL ? "sql" : "mal";
-  const std::string key = opt::PlanCacheKey(text, options.optimize, {}, dialect);
+  const std::string key = opt::PlanCacheKey(text, {}, dialect);
   bool use_cache = options.use_cache;
   if (use_cache) {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
@@ -2082,12 +1725,8 @@ Result<PreparedQueryPtr> RingCluster::Prepare(const std::string& text,
           ? sql::Compile(text, SqlSchema(), options.parse_error)
           : mal::ParseProgram(text, options.parse_error);
   if (!compiled.ok()) return compiled.status();
-  mal::Program program = std::move(compiled).value();
-  if (options.optimize) {
-    DCY_ASSIGN_OR_RETURN(program, opt::DcOptimize(program));
-  }
-  auto prepared =
-      std::make_shared<const PreparedQuery>(text, key, std::move(program), options.optimize);
+  DCY_ASSIGN_OR_RETURN(mal::Program program, opt::DcOptimize(*compiled));
+  auto prepared = std::make_shared<const PreparedQuery>(text, key, std::move(program));
   if (use_cache) {
     std::lock_guard<std::mutex> lock(plan_cache_mu_);
     ++plan_cache_stats_.misses;  // one parse + DcOptimize actually ran
@@ -2152,8 +1791,9 @@ Result<QueryResult> RingCluster::RunQuery(Node* node, const PreparedQuery& plan,
   mal::ExportSink exported;
   SessionHooks hooks(this, node, state->id, &state->cancel, snapshot);
   QueryWriteHooks write_hooks(this, node, snapshot);
+  // DcOptimize rewrote every sql.bind into request/pin, so the plan reads
+  // through the ring and the write log only: no local catalog to bind.
   mal::Context ctx;
-  ctx.catalog = &node->store();
   ctx.dc = &hooks;
   ctx.writer = &write_hooks;
   ctx.out = nullptr;  // results are captured typed, not printed
@@ -2208,7 +1848,7 @@ RingCluster::PlanCacheStats RingCluster::plan_cache_stats() const {
 uint64_t RingCluster::TotalDataBytesMoved() const {
   uint64_t total = 0;
   for (const auto& node : nodes_) {
-    total += node->data_in()->stats().payload_bytes.load();
+    total += node->port()->data.stats().payload_bytes.load();
   }
   return total;
 }

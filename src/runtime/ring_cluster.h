@@ -10,6 +10,10 @@
 // at Start) executes at most AdmissionOptions::max_concurrent of them at a
 // time, each blocking in pin() on a future until the fragment flows by —
 // exactly the paper's §4.1 execution contract, bounded per node.
+//
+// The hop transport (reliable links, ACK/NACK, retransmission, heartbeats)
+// is runtime/ring_link.{h,cc}: one RingLink per neighbour direction. A node
+// keeps the protocol driver (core::DcEnv, decode/delta caches) and admission.
 #pragma once
 
 #include <atomic>
@@ -42,6 +46,8 @@
 
 namespace dcy::runtime {
 
+struct RingPort;
+
 /// \brief Fault-tolerance tunables of the live ring.
 struct ResilienceOptions {
   /// Hop-level retry/backoff of every directed neighbour link.
@@ -58,13 +64,6 @@ struct ResilienceOptions {
   bool auto_rehome = true;
   /// Seed for the per-link backoff jitter streams.
   uint64_t seed = 0xDC0FA17u;
-  /// Frames whose owner died keep circulating until adopted; after this many
-  /// hops they are dropped as orphans. 0 = the default bound of
-  /// 2 * num_nodes + 4 (one full lap plus slack for in-flight duplicates).
-  uint32_t orphan_hop_limit = 0;
-  /// Longest a node's service thread sleeps when idle (reaction latency to
-  /// work posted from other threads).
-  SimTime idle_wait = FromMicros(200);
 };
 
 /// Largest ring a front end may request. Every node runs its own service,
@@ -87,8 +86,7 @@ class RingCluster {
     rdma::TransferMode mode = rdma::TransferMode::kZeroCopy;
     /// Logical BAT-queue capacity per node (admission + LOIT input).
     uint64_t bat_queue_capacity = 64 * kMB;
-    bool adaptive_loit = true;
-    double static_loit = 0.1;
+    /// The adaptive LOIT every node runs (§5.2).
     core::AdaptiveLoit::Options adaptive;
     core::DcNodeOptions node;  // node_id/ring_size filled per node
     /// Spill directory root ("" keeps all cold data in memory).
@@ -333,6 +331,8 @@ class RingCluster {
   /// True when the cluster created a private temp spill root (removed on
   /// destruction).
   bool owns_spill_dir_ = false;
+  /// Every node's inbound channels, indexed by node id (owned by the nodes).
+  std::vector<RingPort*> ports_;
   std::vector<std::unique_ptr<Node>> nodes_;
   /// Global name -> fragment directory (guarded by directory_mu_).
   mutable std::mutex directory_mu_;

@@ -53,8 +53,6 @@ enum class Language {
 /// which prepare internally).
 struct PrepareOptions {
   Language language = Language::kAuto;
-  /// Run the DcOptimizer rewrite (sql.bind -> request/pin/unpin).
-  bool optimize = true;
   /// Consult/populate the cluster's shared plan cache.
   bool use_cache = true;
   /// Optional out-param: on a parse or semantic error in either language,
@@ -152,22 +150,17 @@ struct QueryResult {
 /// RingCluster::Prepare (cached) or Session::Prepare.
 class PreparedQuery {
  public:
-  PreparedQuery(std::string text, std::string key, mal::Program program, bool optimized)
-      : text_(std::move(text)),
-        key_(std::move(key)),
-        program_(std::move(program)),
-        optimized_(optimized) {}
+  PreparedQuery(std::string text, std::string key, mal::Program program)
+      : text_(std::move(text)), key_(std::move(key)), program_(std::move(program)) {}
 
   const std::string& text() const { return text_; }        ///< source MAL
   const std::string& cache_key() const { return key_; }    ///< opt::PlanCacheKey
   const mal::Program& program() const { return program_; }  ///< compiled plan
-  bool optimized() const { return optimized_; }
 
  private:
   std::string text_;
   std::string key_;
   mal::Program program_;
-  bool optimized_;
 };
 using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;
 

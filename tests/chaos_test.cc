@@ -201,6 +201,44 @@ TEST_F(ChaosTest, FragmentsRehomeToTheHeirAndQueriesSucceed) {
   EXPECT_GE(res.rehomed_fragments, 1u);
 }
 
+TEST_F(ChaosTest, OrphanFrameOfADeadOwnerIsDroppedAndStopsCirculating) {
+  // Every data frame into node 0 lingers 100 ms. A frame of node 1's that
+  // node 2 has just forwarded is then still in flight when node 1 dies and
+  // the ring splices 0 -> 2 around it, so it keeps circulating.
+  rdma::FaultInjector& fault = *MakeInjector(0x0F0F);
+  fault.AddRule(rdma::FaultInjector::Delay(
+      {rdma::kAnyEndpoint, 0, rdma::kFaultChannelData}, 1.0, FromMillis(100)));
+  auto opts = ChaosOptions();
+  opts.fault = &fault;
+  opts.resilience.auto_rehome = false;  // no heir adopts the frame
+  // Retransmit timers above the added latency: delayed frames are late, not
+  // lost, and no link reset muddies the count.
+  opts.resilience.link.initial_backoff = FromMillis(250);
+  opts.resilience.link.max_backoff = FromMillis(500);
+  SetUpCluster(opts);
+  auto session = cluster->OpenSession(0);
+  ASSERT_TRUE(session.ok());
+
+  const uint64_t passes = cluster->NodeMetrics(2).bat_passes;
+  auto pending = session->Submit(kSumPlan);  // node 1 loads sys.t.id
+  ASSERT_TRUE(pending.ok()) << pending.status().ToString();
+  ASSERT_TRUE(Eventually([&] { return cluster->NodeMetrics(2).bat_passes > passes; }))
+      << "node 1's fragment never reached node 2";
+  ASSERT_TRUE(cluster->CrashNode(1).ok());
+
+  EXPECT_TRUE(Eventually([&] {
+    return cluster->Resilience().orphan_frames_dropped >= 1;
+  })) << "the orphan was never dropped";
+  // Nothing circulates after the drop: the ring's hop count settles.
+  EXPECT_TRUE(Eventually([&] {
+    const uint64_t hops = cluster->Bandwidth().hops;
+    std::this_thread::sleep_for(milliseconds(300));
+    return cluster->Bandwidth().hops == hops;
+  })) << "frames still circulating";
+  EXPECT_EQ(cluster->Resilience().frames_adopted, 0u);
+  pending->Wait();  // fails typed or completes; either way it terminates
+}
+
 TEST_F(ChaosTest, WithoutRehomingPinsFailTypedUnavailable) {
   auto opts = ChaosOptions();
   opts.resilience.auto_rehome = false;

@@ -164,13 +164,12 @@ TEST(DcOptimizerTest, IdempotentOnRewrittenPlans) {
 TEST(PlanCacheKeyTest, StableAndDiscriminating) {
   const std::string text = kTable1;
   // Deterministic: same inputs, same key.
-  EXPECT_EQ(PlanCacheKey(text, true), PlanCacheKey(text, true));
-  // The optimize flag, the optimizer options, and the text all discriminate.
-  EXPECT_NE(PlanCacheKey(text, true), PlanCacheKey(text, false));
+  EXPECT_EQ(PlanCacheKey(text), PlanCacheKey(text));
+  // The optimizer options and the text both discriminate.
   DcOptimizerOptions after_last_use;
   after_last_use.unpin_placement = DcOptimizerOptions::UnpinPlacement::kAfterLastUse;
-  EXPECT_NE(PlanCacheKey(text, true), PlanCacheKey(text, true, after_last_use));
-  EXPECT_NE(PlanCacheKey(text, true), PlanCacheKey(text + " ", true));
+  EXPECT_NE(PlanCacheKey(text), PlanCacheKey(text, after_last_use));
+  EXPECT_NE(PlanCacheKey(text), PlanCacheKey(text + " "));
 }
 
 }  // namespace

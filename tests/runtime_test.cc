@@ -65,12 +65,9 @@ class RuntimeRing : public ::testing::Test {
   }
 
   /// One blocking query on `node` through a fresh session.
-  Result<QueryResult> ExecuteOn(core::NodeId node, const std::string& text,
-                          bool optimize = true) {
+  Result<QueryResult> ExecuteOn(core::NodeId node, const std::string& text) {
     DCY_ASSIGN_OR_RETURN(Session session, cluster->OpenSession(node));
-    PrepareOptions prepare;
-    prepare.optimize = optimize;
-    return session.Execute(text, {}, prepare);
+    return session.Execute(text);
   }
 
   void ExpectTable1Result(const QueryResult& outcome) {
@@ -108,16 +105,6 @@ X2 := aggr.sum(X1);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(std::get<int64_t>(outcome->result.scalar()), 10);  // 1+2+3+4
   EXPECT_EQ(cluster->NodeMetrics(1).pins_blocked, 0u);
-}
-
-TEST_F(RuntimeRing, UnoptimizedPlanOnOwnerUsesSqlBindDirectly) {
-  SetUpCluster(FastOptions());
-  auto outcome = ExecuteOn(1, R"(
-X1 := sql.bind("sys","t","id",0);
-X2 := aggr.count(X1);
-)", /*optimize=*/false);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(std::get<int64_t>(outcome->result.scalar()), 4);
 }
 
 TEST_F(RuntimeRing, EveryNodeCanRunTheSameQuery) {

@@ -443,10 +443,10 @@ TEST_F(SessionApi, CancelBeforeExecutionStartsCountsAsQueuedCancel) {
 }
 
 // ---------------------------------------------------------------------------
-// Result shapes, unoptimized plans, typed errors + LoadBat validation.
+// Result shapes, plan-cache reuse, typed errors + LoadBat validation.
 // ---------------------------------------------------------------------------
 
-TEST_F(SessionApi, SessionPathServesScalarsUnoptimizedPlansAndTypedErrors) {
+TEST_F(SessionApi, SessionPathServesScalarsCachedPlansAndTypedErrors) {
   SetUpCluster(FastOptions());
   auto s0 = *cluster->OpenSession(0);
   auto s1 = *cluster->OpenSession(1);
@@ -465,15 +465,17 @@ TEST_F(SessionApi, SessionPathServesScalarsUnoptimizedPlansAndTypedErrors) {
   ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   EXPECT_EQ(prepared->get(), s1.Prepare(kSumPlan)->get());
 
-  // An unoptimized plan (sql.bind straight off the owner's store) compiles
-  // once into its own cache slot and is reused afterwards.
-  PrepareOptions unoptimized;
-  unoptimized.optimize = false;
+  // A new text compiles once into its own cache slot and is reused
+  // afterwards.
+  constexpr const char* kCountPlan = R"(
+X1 := sql.bind("sys","t","id",0);
+X2 := aggr.count(X1);
+)";
   const auto before = cluster->plan_cache_stats();
   for (int i = 0; i < 2; ++i) {
-    auto unopt = s1.Execute(kSumPlan, {}, unoptimized);
-    ASSERT_TRUE(unopt.ok()) << unopt.status().ToString();
-    EXPECT_EQ(std::get<int64_t>(unopt->result.scalar()), 10);
+    auto count = s1.Execute(kCountPlan);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(std::get<int64_t>(count->result.scalar()), 4);
   }
   const auto after = cluster->plan_cache_stats();
   EXPECT_EQ(after.misses, before.misses + 1);
